@@ -1,0 +1,393 @@
+"""Command-line surface: compare, sweep, simulate, fit.
+
+Exit codes: 0 success, 1 usage error, 2 data error, 3 convergence failure
+(compare still writes a partial report with failed models marked).
+
+The TSARF_OUTDIR environment variable, when set, is the base directory for
+relative output paths.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+from scipy import stats
+
+from . import __version__
+from .dataset import GrowthCurve, SplitCurve, auto_split_len, read_curve_file, split
+from .errors import ConvergenceError, DataError, TsarfError, UsageError
+from .metrics import MetricsReport, evaluate_model
+from .pipeline import (
+    TsarfConfig,
+    predicted_line,
+    tsarf_forecast,
+    window_fitted_values,
+)
+from .report import (
+    RunReport,
+    metrics_to_dict,
+    order_models,
+    render_metrics_table,
+    render_sweep_table,
+    write_curves_csv,
+    write_report,
+    write_sweep_csv,
+)
+from .srgm import SrgmKind, SrgmParams, fit_srgm, mvf, simulate_nhpp, srgm_predict
+
+KNOWN_MODELS = ("tsarf", "go", "dss", "weibull")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse reports usage problems via UsageError so they exit 1, not 2."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+def _parse_auto_int(value: str, what: str, minimum: int) -> int | None:
+    if value.strip().lower() == "auto":
+        return None
+    try:
+        parsed = int(value)
+    except ValueError:
+        raise UsageError(f"{what} must be an integer or 'auto', got {value!r}") from None
+    if parsed < minimum:
+        raise UsageError(f"{what} must be >= {minimum}, got {parsed}")
+    return parsed
+
+
+def _parse_models(raw: str) -> list[str]:
+    models = [m.strip().lower() for m in raw.split(",") if m.strip()]
+    if not models:
+        raise UsageError("at least one model must be requested")
+    for m in models:
+        if m not in KNOWN_MODELS:
+            raise UsageError(f"unknown model {m!r}; expected subset of {','.join(KNOWN_MODELS)}")
+    return list(dict.fromkeys(models))
+
+
+def _parse_values(raw: str) -> list[int]:
+    raw = raw.strip()
+    try:
+        if ".." in raw:
+            lo, hi = raw.split("..", 1)
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(v) for v in raw.split(",") if v.strip()]
+    except ValueError:
+        raise UsageError(f"cannot parse value range {raw!r}; use 'a..b' or 'a,b,c'") from None
+    if not values:
+        raise UsageError("value range is empty")
+    return values
+
+
+def _resolve_output(path: str | Path) -> Path:
+    path = Path(path)
+    outdir = os.environ.get("TSARF_OUTDIR")
+    if outdir and not path.is_absolute():
+        path = Path(outdir) / path
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _resolve_split(curve: GrowthCurve, args) -> SplitCurve:
+    n = curve.n
+    if args.test_len is not None:
+        return split(curve, args.test_len)
+    if args.test_fraction is not None:
+        if not 0 < args.test_fraction < 1:
+            raise UsageError(f"test fraction must lie in (0, 1), got {args.test_fraction}")
+        test_len = min(max(int(args.test_fraction * n), 1), n - 1)
+        parts = split(curve, test_len)
+        return SplitCurve(parts.train, parts.test, f"fraction={args.test_fraction} (test_len={test_len})")
+    k = _parse_auto_int(args.window_size, "window size", 3) if hasattr(args, "window_size") else None
+    if k is not None:
+        parts = split(curve, k)
+        return SplitCurve(parts.train, parts.test, f"test_len=k={k}")
+    test_len = auto_split_len(n)
+    parts = split(curve, test_len)
+    return SplitCurve(parts.train, parts.test, f"auto (test_len={test_len})")
+
+
+def _tsarf_entry(model) -> dict:
+    return {
+        "k": model.k_used,
+        "d": model.d_used,
+        "d_auto": model.d_auto,
+        "d_fallback": model.d_fallback,
+        "blend_weight": model.blend_weight,
+        "windows": model.history.W,
+        "points_dropped": model.history.n_dropped,
+        "coefficients": model.coefficients.tolist(),
+        "raw_forecast": model.raw_forecast.tolist(),
+        "corrected_forecast": model.corrected_forecast.tolist(),
+        "epsilon": model.epsilon.tolist(),
+        "coefficient_history": model.history.matrix.tolist(),
+        "stage2_trend": model.stage2.trend.tolist(),
+        "ma_candidates": [[d, mse] for d, mse in model.ma_candidates],
+    }
+
+
+def _srgm_entry(fit) -> dict:
+    entry = {
+        "a": fit.params.a,
+        "b": fit.params.b,
+        "sse": fit.sse,
+        "converged": fit.converged,
+        "iterations": fit.iterations,
+        "restarts": fit.restarts,
+    }
+    if fit.kind is SrgmKind.WEIBULL:
+        entry["c"] = fit.params.c
+    return entry
+
+
+def _run_models(
+    parts: SplitCurve, models: list[str], k: int | None, d: int | None, blend_weight: float
+) -> tuple[list[MetricsReport], dict[str, str], list[dict], dict[str, np.ndarray]]:
+    """Fit each model on train, score on test, build curve columns."""
+    all_times = np.concatenate([parts.train.times, parts.test.times])
+    reports: list[MetricsReport] = []
+    failed: dict[str, str] = {}
+    entries: list[dict] = []
+    predictions: dict[str, np.ndarray] = {}
+
+    for name in order_models(models):
+        entry: dict = {"model": name}
+        try:
+            if name == "tsarf":
+                model = tsarf_forecast(parts.train, TsarfConfig(k=k, d=d, blend_weight=blend_weight))
+                pred_test = predicted_line(model, parts.test.times)
+                predictions[name] = np.concatenate(
+                    [window_fitted_values(model, parts.train), pred_test]
+                )
+                entry["tsarf"] = _tsarf_entry(model)
+            else:
+                fit = fit_srgm(parts.train, SrgmKind.from_label(name))
+                pred_test = srgm_predict(fit, parts.test.times)
+                predictions[name] = srgm_predict(fit, all_times)
+                entry["srgm"] = _srgm_entry(fit)
+        except ConvergenceError as exc:
+            failed[name] = str(exc)
+            entry["status"] = "convergence_error"
+            entry["error"] = str(exc)
+            entries.append(entry)
+            continue
+        report = evaluate_model(name, pred_test, parts.test.counts)
+        reports.append(report)
+        entry["status"] = "ok"
+        entry["metrics"] = metrics_to_dict(report)
+        entries.append(entry)
+    return reports, failed, entries, predictions
+
+
+def cmd_compare(args) -> int:
+    curve, meta = read_curve_file(args.input)
+    parts = _resolve_split(curve, args)
+    models = _parse_models(args.models)
+    k = _parse_auto_int(args.window_size, "window size", 3)
+    d = _parse_auto_int(args.ma, "moving-average length", 1)
+
+    reports, failed, entries, predictions = _run_models(
+        parts, models, k, d, args.blend_weight
+    )
+
+    report = RunReport(
+        dataset=meta,
+        split={"train_n": parts.train.n, "test_n": parts.test.n, "policy": parts.policy},
+        models=entries,
+        version=__version__,
+    )
+    write_report(report, _resolve_output(args.output))
+    write_curves_csv(
+        _resolve_output(args.curves),
+        np.concatenate([parts.train.times, parts.test.times]),
+        np.concatenate([parts.train.counts, parts.test.counts]),
+        predictions,
+        parts.train.n,
+    )
+    print(render_metrics_table(reports, failed))
+    for name, message in failed.items():
+        print(f"warning: {name} failed: {message}", file=sys.stderr)
+    return 3 if failed else 0
+
+
+def _sweep_cell(curve: GrowthCurve, args, param: str, value: int) -> float:
+    """Test PMSE of one sweep cell; the other knob follows its default policy."""
+    split_args = argparse.Namespace(**vars(args))
+    if param == "window":
+        k: int | None = value
+        d = _parse_auto_int(args.ma, "moving-average length", 1)
+        split_args.window_size = str(value)  # default split tracks the swept window
+    else:
+        k = _parse_auto_int(args.window_size, "window size", 3)
+        d = value
+    parts = _resolve_split(curve, split_args)
+    model = tsarf_forecast(parts.train, TsarfConfig(k=k, d=d, blend_weight=args.blend_weight))
+    report = evaluate_model("tsarf", predicted_line(model, parts.test.times), parts.test.counts)
+    assert report.pmse is not None
+    return report.pmse
+
+
+def cmd_sweep(args) -> int:
+    values = _parse_values(args.values)
+    datasets = []
+    for path in args.inputs:
+        curve, _ = read_curve_file(path)
+        datasets.append((Path(path).stem, curve))
+    names = [name for name, _ in datasets]
+
+    rows: list[tuple[int, dict[str, float | None]]] = []
+    for value in values:
+        cells: dict[str, float | None] = {}
+        for name, curve in datasets:
+            try:
+                cells[name] = _sweep_cell(curve, args, args.param, value)
+            except TsarfError as exc:
+                cells[name] = None
+                print(f"warning: {args.param}={value} on {name}: {exc}", file=sys.stderr)
+        rows.append((value, cells))
+
+    label = "size" if args.param == "window" else "length"
+    write_sweep_csv(_resolve_output(args.output), label, names, rows)
+    print(render_sweep_table(label, names, rows))
+    return 0
+
+
+def cmd_simulate(args) -> int:
+    kind = SrgmKind.from_label(args.kind)
+    params = SrgmParams(a=args.a, b=args.b, c=args.c)
+    times = simulate_nhpp(kind, params, args.horizon, args.seed)
+    path = _resolve_output(args.output)
+    lines = [
+        f"# simulated {kind.value} failure times",
+        f"# a={args.a} b={args.b} c={args.c} horizon={args.horizon} seed={args.seed}",
+    ]
+    lines.extend(f"{t:.10g}" for t in times.times)
+    path.write_text("\n".join(lines) + "\n")
+
+    total = mvf(kind, params, args.horizon)
+    lo, hi = stats.poisson.interval(0.999, total)
+    count = len(times)
+    print(f"wrote {count} failure times to {path}")
+    if not lo <= count <= hi:
+        print(
+            f"warning: realized count {count} falls outside the 99.9% Poisson band "
+            f"[{int(lo)}, {int(hi)}] around {total:.2f}",
+            file=sys.stderr,
+        )
+    return 0
+
+
+def cmd_fit(args) -> int:
+    curve, meta = read_curve_file(args.input)
+    parts = _resolve_split(curve, args)
+    k = _parse_auto_int(args.window_size, "window size", 3)
+    d = _parse_auto_int(args.ma, "moving-average length", 1)
+
+    reports, failed, entries, _ = _run_models(parts, [args.model], k, d, args.blend_weight)
+    report = RunReport(
+        dataset=meta,
+        split={"train_n": parts.train.n, "test_n": parts.test.n, "policy": parts.policy},
+        models=entries,
+        version=__version__,
+    )
+    write_report(report, _resolve_output(args.output))
+
+    entry = entries[0]
+    if entry["status"] != "ok":
+        print(f"error: {entry['error']}", file=sys.stderr)
+        return 3
+    if "tsarf" in entry:
+        info = entry["tsarf"]
+        b0, b1 = info["coefficients"]
+        print(f"tsarf: k={info['k']} d={info['d']} windows={info['windows']}")
+        print(f"predicted line: {b0:.6g} + {b1:.6g} t")
+    else:
+        info = entry["srgm"]
+        extra = f" c={info['c']:.6g}" if "c" in info else ""
+        print(f"{args.model}: a={info['a']:.6g} b={info['b']:.6g}{extra} sse={info['sse']:.6g}")
+    print(render_metrics_table(reports))
+    return 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="tsarf",
+        description="Forecast cumulative software-defect growth and compare "
+        "the three-stage adjusted regression forecast against NHPP growth models.",
+        epilog="Set TSARF_OUTDIR to redirect relative output paths.",
+    )
+    parser.add_argument("--version", action="version", version=f"tsarf {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_split_options(p):
+        p.add_argument("--test-len", type=int, default=None, help="test partition length (default: window size)")
+        p.add_argument("--test-fraction", type=float, default=None, help="test partition fraction in (0,1)")
+
+    def add_model_options(p):
+        p.add_argument("--window-size", default="auto", help="points per window, or 'auto' (10%% of training)")
+        p.add_argument("--ma", default="auto", help="moving-average length, or 'auto' (least holdout MSE)")
+        p.add_argument("--blend-weight", type=float, default=0.5, help="final blend weight (default 0.5)")
+
+    p = sub.add_parser("compare", help="fit several models and score them on the test partition")
+    p.add_argument("input", help="failure-times file (format A) or time,count CSV (format B)")
+    p.add_argument("--models", default="tsarf,go,dss,weibull", help="comma-separated model list")
+    add_model_options(p)
+    add_split_options(p)
+    p.add_argument("--output", default="report.json", help="structured run report path")
+    p.add_argument("--curves", default="curves.csv", help="actual-vs-predicted curves CSV path")
+    p.set_defaults(func=cmd_compare)
+
+    p = sub.add_parser("sweep", help="sensitivity sweep of window size or moving-average length")
+    p.add_argument("inputs", nargs="+", help="one dataset file per table column")
+    p.add_argument("--param", choices=("window", "ma"), required=True)
+    p.add_argument("--values", required=True, help="swept values: 'a..b' or 'a,b,c'")
+    add_model_options(p)
+    add_split_options(p)
+    p.add_argument("--output", default="sweep.csv", help="sweep table CSV path")
+    p.set_defaults(func=cmd_sweep)
+
+    p = sub.add_parser("simulate", help="draw failure times from an NHPP and write a format-A file")
+    p.add_argument("--kind", required=True, help="go, dss, or weibull")
+    p.add_argument("--a", type=float, required=True, help="expected total fault count")
+    p.add_argument("--b", type=float, required=True, help="detection rate / scale")
+    p.add_argument("--c", type=float, default=1.0, help="Weibull shape (default 1)")
+    p.add_argument("--horizon", type=float, required=True, help="simulation horizon T")
+    p.add_argument("--seed", type=int, default=0, help="generator seed (recorded in the output)")
+    p.add_argument("--output", default="simulated_times.txt", help="failure-times file path")
+    p.set_defaults(func=cmd_simulate)
+
+    p = sub.add_parser("fit", help="fit a single model and print its parameters and metrics")
+    p.add_argument("input")
+    p.add_argument("--model", required=True, choices=KNOWN_MODELS)
+    add_model_options(p)
+    add_split_options(p)
+    p.add_argument("--output", default="report.json", help="structured run report path")
+    p.set_defaults(func=cmd_fit)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except ConvergenceError as exc:
+        print(f"convergence error: {exc}", file=sys.stderr)
+        return 3
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,229 @@
+"""Failure-log ingestion, growth-curve construction, and train/test splitting.
+
+Two on-disk formats are understood:
+
+* format A -- plain text, one failure time per line, ``#`` starts a comment;
+* format B -- CSV with header ``time,count`` holding an already-cumulative
+  curve (counts must be strictly increasing).
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import logging
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterable, TextIO
+
+import numpy as np
+
+from .errors import DataError, UsageError
+
+logger = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class FailureTimes:
+    """Times at which individual failures were discovered, sorted ascending.
+
+    ``required_sorting`` records whether the raw input had to be reordered.
+    """
+
+    times: np.ndarray
+    required_sorting: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
+
+    def __len__(self) -> int:
+        return int(self.times.size)
+
+
+@dataclass(frozen=True)
+class GrowthCurve:
+    """Cumulative defect counts over time.
+
+    Counts are integer-valued at ingestion but stored as floats so they feed
+    the regression stages directly.
+    """
+
+    times: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self) -> None:
+        times = np.asarray(self.times, dtype=float)
+        counts = np.asarray(self.counts, dtype=float)
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "counts", counts)
+        if times.ndim != 1 or counts.ndim != 1:
+            raise DataError("growth curve arrays must be one-dimensional")
+        if times.size != counts.size:
+            raise DataError("times and counts differ in length")
+        if times.size == 0:
+            raise DataError("growth curve is empty")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(counts))):
+            raise DataError("growth curve contains non-finite values")
+        if np.any(np.diff(times) < 0):
+            raise DataError("growth curve times must be nondecreasing")
+
+    @property
+    def n(self) -> int:
+        return int(self.times.size)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def slice(self, start: int, stop: int) -> "GrowthCurve":
+        return GrowthCurve(self.times[start:stop], self.counts[start:stop])
+
+
+@dataclass(frozen=True)
+class SplitCurve:
+    """Train/test partition of a growth curve; concatenation restores the original."""
+
+    train: GrowthCurve
+    test: GrowthCurve
+    policy: str
+
+
+def load_failure_times(source: TextIO | Iterable[str]) -> FailureTimes:
+    """Parse newline-delimited failure times.
+
+    Blank lines and lines starting with ``#`` are ignored. Unsorted input is
+    sorted with a warning; negative, non-finite, or non-numeric entries are
+    rejected with the offending line number.
+    """
+    times: list[float] = []
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise DataError(f"line {lineno}: non-numeric failure time {line!r}") from None
+        if not np.isfinite(value):
+            raise DataError(f"line {lineno}: non-finite failure time {line!r}")
+        if value < 0:
+            raise DataError(f"line {lineno}: negative failure time {value}")
+        times.append(value)
+    if not times:
+        raise DataError("no failure times in input")
+    arr = np.asarray(times, dtype=float)
+    required_sorting = bool(np.any(np.diff(arr) < 0))
+    if required_sorting:
+        logger.warning("failure times were not sorted; sorting %d entries", arr.size)
+        arr = np.sort(arr)
+    return FailureTimes(arr, required_sorting=required_sorting)
+
+
+def to_growth_curve(ft: FailureTimes) -> GrowthCurve:
+    """Cumulative curve with point i = (times[i], i), i = 1..n."""
+    n = len(ft)
+    if n == 0:
+        raise DataError("cannot build a growth curve from zero failure times")
+    return GrowthCurve(ft.times, np.arange(1, n + 1, dtype=float))
+
+
+def load_growth_curve_csv(source: TextIO | Iterable[str]) -> GrowthCurve:
+    """Parse a format-B CSV: header ``time,count``, counts strictly increasing."""
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("empty CSV input") from None
+    if [h.strip().lower() for h in header] != ["time", "count"]:
+        raise DataError(f"expected CSV header 'time,count', got {','.join(header)!r}")
+    times: list[float] = []
+    counts: list[float] = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise DataError(f"line {lineno}: expected two columns, got {len(row)}")
+        try:
+            t, c = float(row[0]), float(row[1])
+        except ValueError:
+            raise DataError(f"line {lineno}: non-numeric entry in {row!r}") from None
+        if not (np.isfinite(t) and np.isfinite(c)):
+            raise DataError(f"line {lineno}: non-finite entry")
+        if t < 0:
+            raise DataError(f"line {lineno}: negative time {t}")
+        if times and t < times[-1]:
+            raise DataError(f"line {lineno}: time column must be nondecreasing")
+        if counts and c <= counts[-1]:
+            raise DataError(f"line {lineno}: count column must be strictly increasing")
+        times.append(t)
+        counts.append(c)
+    if not times:
+        raise DataError("CSV holds no data rows")
+    return GrowthCurve(np.asarray(times), np.asarray(counts))
+
+
+def read_curve_file(path: str | Path) -> tuple[GrowthCurve, dict]:
+    """Load a dataset file in either format, sniffing by header.
+
+    Returns the curve plus a provenance dict (path, format, n, sort flag)
+    suitable for embedding in run reports.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    first = ""
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            first = line
+            break
+    required_sorting = False
+    if first.lower().replace(" ", "").startswith("time,count"):
+        curve = load_growth_curve_csv(io.StringIO(text))
+        fmt = "curve"
+    else:
+        ft = load_failure_times(io.StringIO(text))
+        curve = to_growth_curve(ft)
+        fmt = "times"
+        required_sorting = ft.required_sorting
+    meta = {
+        "path": str(path),
+        "format": fmt,
+        "n": curve.n,
+        "required_sorting": required_sorting,
+    }
+    return curve, meta
+
+
+def split(curve: GrowthCurve, test_len: int) -> SplitCurve:
+    """Hold out the last ``test_len`` points as the test partition."""
+    if not 0 < test_len < curve.n:
+        raise UsageError(
+            f"test length must satisfy 0 < test_len < {curve.n}, got {test_len}"
+        )
+    cut = curve.n - test_len
+    return SplitCurve(
+        train=curve.slice(0, cut),
+        test=curve.slice(cut, curve.n),
+        policy=f"test_len={test_len}",
+    )
+
+
+def auto_split_len(n: int) -> int:
+    """Default test length: the auto window size, resolved jointly with the split.
+
+    The window size tracks 10% of the training length while the default test
+    length equals the window size, so the two are solved as a fixed point of
+    k -> max(3, (n - k) // 10). When the iteration 2-cycles the smaller value
+    is taken, which keeps more data in training.
+    """
+    if n < 2:
+        raise DataError(f"curve with {n} points cannot be split")
+    k = max(3, n // 10)
+    seen: list[int] = []
+    while k not in seen:
+        seen.append(k)
+        k = max(3, (n - k) // 10)
+    k = min(seen[seen.index(k):])
+    return min(k, n - 1)

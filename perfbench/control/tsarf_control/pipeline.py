@@ -1,0 +1,294 @@
+"""Three-stage adjusted regression forecasting over cumulative growth curves.
+
+Stage 1 fits a straight line to each block of k consecutive training points
+and records the coefficients. Stage 2 regresses each coefficient on the
+window index and extrapolates one window ahead. Stage 3 corrects the
+extrapolation with the last window's residual, then blends it 50/50 with a
+moving average of the window coefficients immediately before the last
+window. The result is the "predicted line" for the next, unseen window.
+
+Windows are non-overlapping blocks of exactly k points aligned to the end of
+training; when k does not divide the training length the oldest points are
+dropped, so the final window always ends at the training boundary.
+"""
+
+from __future__ import annotations
+
+import logging
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .dataset import GrowthCurve
+from .errors import (
+    DegenerateWindowError,
+    InsufficientDataError,
+    RankDeficiencyError,
+    UsageError,
+)
+from .regression import design_matrix, ols_fit
+
+logger = logging.getLogger(__name__)
+
+
+def auto_window_size(train_n: int) -> int:
+    """Default window size: 10% of the training length, floored, at least 3."""
+    return max(3, train_n // 10)
+
+
+@dataclass(frozen=True)
+class TsarfConfig:
+    """Pipeline knobs. ``None`` selects the automatic policy.
+
+    k: points per window (>= 3). Auto: max(3, train_n // 10).
+    d: moving-average length (1 <= d <= W - 1). Auto: least holdout MSE.
+    blend_weight: weight applied to both the corrected forecast and the
+        moving-average term in the final blend.
+    """
+
+    k: int | None = None
+    d: int | None = None
+    blend_weight: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.k is not None and self.k < 3:
+            raise UsageError(f"window size k must be >= 3, got {self.k}")
+        if self.d is not None and self.d < 1:
+            raise UsageError(f"moving-average length d must be >= 1, got {self.d}")
+        if not np.isfinite(self.blend_weight) or self.blend_weight <= 0:
+            raise UsageError(f"blend weight must be positive and finite, got {self.blend_weight}")
+
+
+@dataclass(frozen=True)
+class CoefficientHistory:
+    """Per-window line coefficients: row w holds (intercept, slope) of window w."""
+
+    matrix: np.ndarray
+    k: int
+    bounds: tuple[tuple[int, int], ...]  # (start, stop) index pairs into training
+    spans: np.ndarray  # (W, 2) first/last time per window
+    n_dropped: int = 0
+
+    @property
+    def W(self) -> int:
+        return int(self.matrix.shape[0])
+
+    @property
+    def m(self) -> int:
+        return int(self.matrix.shape[1])
+
+    def drop_last(self) -> "CoefficientHistory":
+        """History restricted to the first W - 1 windows."""
+        return CoefficientHistory(
+            matrix=self.matrix[:-1],
+            k=self.k,
+            bounds=self.bounds[:-1],
+            spans=self.spans[:-1],
+            n_dropped=self.n_dropped,
+        )
+
+
+@dataclass(frozen=True)
+class StageTwoFit:
+    """Window-index trend per coefficient: row rho holds (intercept, slope)."""
+
+    trend: np.ndarray
+
+    def predict(self, index: float) -> np.ndarray:
+        """Trend value of every coefficient at the given window index."""
+        return self.trend[:, 0] + index * self.trend[:, 1]
+
+
+@dataclass(frozen=True)
+class TsarfModel:
+    """Predicted-line coefficients plus every stage's intermediates."""
+
+    coefficients: np.ndarray  # final (intercept, slope) after all stages
+    raw_forecast: np.ndarray
+    corrected_forecast: np.ndarray
+    epsilon: np.ndarray
+    stage2: StageTwoFit
+    history: CoefficientHistory
+    k_used: int
+    d_used: int
+    d_auto: bool
+    d_fallback: bool = False
+    blend_weight: float = 0.5
+    ma_candidates: tuple[tuple[int, float], ...] = field(default=())
+
+
+def partition_windows(train: GrowthCurve, k: int) -> list[tuple[int, int]]:
+    """Non-overlapping blocks of exactly k points, aligned to the training end.
+
+    The first train.n - W*k points are dropped so the last window ends at the
+    last training point. Requires at least two full windows.
+    """
+    if k < 3:
+        raise UsageError(f"window size k must be >= 3, got {k}")
+    n = train.n
+    if n < 2 * k:
+        raise InsufficientDataError(
+            f"need at least {2 * k} training points for window size {k}, have {n}"
+        )
+    n_windows = n // k
+    offset = n - n_windows * k
+    return [(offset + w * k, offset + (w + 1) * k) for w in range(n_windows)]
+
+
+def fit_windows(train: GrowthCurve, windows: list[tuple[int, int]]) -> CoefficientHistory:
+    """Fit a line (raw time -> cumulative count) to every window."""
+    rows = []
+    spans = []
+    for w, (start, stop) in enumerate(windows, start=1):
+        t = train.times[start:stop]
+        y = train.counts[start:stop]
+        try:
+            rows.append(ols_fit(design_matrix(t), y))
+        except RankDeficiencyError as exc:
+            raise DegenerateWindowError(
+                f"window {w} (points {start + 1}..{stop}) cannot support a line fit: {exc}"
+            ) from None
+        spans.append((t[0], t[-1]))
+    return CoefficientHistory(
+        matrix=np.vstack(rows),
+        k=windows[0][1] - windows[0][0],
+        bounds=tuple(windows),
+        spans=np.asarray(spans, dtype=float),
+        n_dropped=windows[0][0],
+    )
+
+
+def forecast_coefficients(history: CoefficientHistory) -> tuple[StageTwoFit, np.ndarray]:
+    """Regress each coefficient on the window index and extrapolate to W + 1."""
+    n_windows = history.W
+    if n_windows < 2:
+        raise InsufficientDataError(
+            f"coefficient trend needs at least 2 windows, have {n_windows}"
+        )
+    index = design_matrix(np.arange(1, n_windows + 1, dtype=float))
+    trend = np.vstack(
+        [ols_fit(index, history.matrix[:, rho]) for rho in range(history.m)]
+    )
+    stage2 = StageTwoFit(trend=trend)
+    return stage2, stage2.predict(n_windows + 1)
+
+
+def error_correct(
+    raw: np.ndarray, stage2: StageTwoFit, history: CoefficientHistory
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shift the raw forecast by the trend residual at the last window.
+
+    epsilon is the gap between the last window's fitted coefficients and the
+    trend's value there, so the shifted trend passes exactly through them.
+    """
+    epsilon = history.matrix[-1] - stage2.predict(history.W)
+    return raw + epsilon, epsilon
+
+
+def apply_moving_average(
+    corrected: np.ndarray,
+    history: CoefficientHistory,
+    d: int,
+    blend_weight: float = 0.5,
+) -> np.ndarray:
+    """Blend the corrected forecast with the mean of the d window coefficient
+    rows immediately before the last window."""
+    n_windows = history.W
+    if not 1 <= d <= n_windows - 1:
+        raise UsageError(
+            f"moving-average length d must be in 1..{n_windows - 1}, got {d}"
+        )
+    ma = history.matrix[n_windows - 1 - d: n_windows - 1].mean(axis=0)
+    return blend_weight * (corrected + ma)
+
+
+def _run_stages(
+    history: CoefficientHistory, d: int, blend_weight: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, StageTwoFit]:
+    """Stages 2-3 over a coefficient history; returns all intermediates."""
+    stage2, raw = forecast_coefficients(history)
+    corrected, epsilon = error_correct(raw, stage2, history)
+    final = apply_moving_average(corrected, history, d, blend_weight)
+    return final, raw, corrected, epsilon, stage2
+
+
+def select_ma_length(
+    history: CoefficientHistory,
+    train: GrowthCurve,
+    blend_weight: float = 0.5,
+) -> tuple[int, tuple[tuple[int, float], ...], bool]:
+    """Pick the moving-average length with the least holdout MSE.
+
+    The last training window is held out; stages 1-3 rerun on the first
+    W - 1 windows for every candidate d in 1..W-2 and the resulting line is
+    scored against the held-out points. Ties break toward the smallest d.
+    With fewer than 3 windows there is nothing to hold out, so d = 1 is
+    returned with a diagnostic.
+    """
+    n_windows = history.W
+    if n_windows < 3:
+        logger.warning(
+            "only %d windows: falling back to moving-average length 1", n_windows
+        )
+        return 1, (), True
+
+    sub = history.drop_last()
+    start, stop = history.bounds[-1]
+    t_hold = train.times[start:stop]
+    y_hold = train.counts[start:stop]
+
+    candidates: list[tuple[int, float]] = []
+    best_d, best_mse = 1, np.inf
+    for d in range(1, n_windows - 1):
+        coeffs, *_ = _run_stages(sub, d, blend_weight)
+        pred = coeffs[0] + coeffs[1] * t_hold
+        mse = float(np.mean((pred - y_hold) ** 2))
+        candidates.append((d, mse))
+        if mse < best_mse:
+            best_d, best_mse = d, mse
+    return best_d, tuple(candidates), False
+
+
+def predicted_line(model: TsarfModel, times) -> np.ndarray:
+    """Evaluate the predicted line at the requested times."""
+    times = np.asarray(times, dtype=float)
+    return model.coefficients[0] + model.coefficients[1] * times
+
+
+def window_fitted_values(model: TsarfModel, train: GrowthCurve) -> np.ndarray:
+    """Per-window fitted line evaluated over training; NaN for dropped points."""
+    fitted = np.full(train.n, np.nan)
+    for (start, stop), (b0, b1) in zip(model.history.bounds, model.history.matrix):
+        fitted[start:stop] = b0 + b1 * train.times[start:stop]
+    return fitted
+
+
+def tsarf_forecast(train: GrowthCurve, config: TsarfConfig | None = None) -> TsarfModel:
+    """Run the full three-stage pipeline on a training curve."""
+    config = config or TsarfConfig()
+    k = config.k if config.k is not None else auto_window_size(train.n)
+    windows = partition_windows(train, k)
+    history = fit_windows(train, windows)
+
+    if config.d is None:
+        d, candidates, fallback = select_ma_length(history, train, config.blend_weight)
+        d_auto = True
+    else:
+        d, candidates, fallback = config.d, (), False
+        d_auto = False
+
+    final, raw, corrected, epsilon, stage2 = _run_stages(history, d, config.blend_weight)
+    return TsarfModel(
+        coefficients=final,
+        raw_forecast=raw,
+        corrected_forecast=corrected,
+        epsilon=epsilon,
+        stage2=stage2,
+        history=history,
+        k_used=k,
+        d_used=d,
+        d_auto=d_auto,
+        d_fallback=fallback,
+        blend_weight=config.blend_weight,
+        ma_candidates=candidates,
+    )
