@@ -48,7 +48,7 @@ from .pipeline import (
     tsarf_forecast,
     window_fitted_values,
 )
-from .regression import design_matrix, ols_fit, ols_predict, sse
+from .regression import design_matrix, ols_fit
 from .srgm import (
     SrgmFit,
     SrgmKind,
@@ -100,8 +100,6 @@ __all__ = [
     "tsarf_forecast",
     "design_matrix",
     "ols_fit",
-    "ols_predict",
-    "sse",
     "SrgmKind",
     "SrgmParams",
     "SrgmFit",

@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
 from .dataset import GrowthCurve, SplitCurve, auto_split_len, read_curve_file, split
@@ -260,6 +259,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from scipy import stats  # only simulate needs it; keeps start-up light
+
     kind = SrgmKind.from_label(args.kind)
     params = SrgmParams(a=args.a, b=args.b, c=args.c)
     times = simulate_nhpp(kind, params, args.horizon, args.seed)

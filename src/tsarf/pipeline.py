@@ -66,16 +66,11 @@ class CoefficientHistory:
     matrix: np.ndarray
     k: int
     bounds: tuple[tuple[int, int], ...]  # (start, stop) index pairs into training
-    spans: np.ndarray  # (W, 2) first/last time per window
     n_dropped: int = 0
 
     @property
     def W(self) -> int:
         return int(self.matrix.shape[0])
-
-    @property
-    def m(self) -> int:
-        return int(self.matrix.shape[1])
 
     def drop_last(self) -> "CoefficientHistory":
         """History restricted to the first W - 1 windows."""
@@ -83,7 +78,6 @@ class CoefficientHistory:
             matrix=self.matrix[:-1],
             k=self.k,
             bounds=self.bounds[:-1],
-            spans=self.spans[:-1],
             n_dropped=self.n_dropped,
         )
 
@@ -138,7 +132,6 @@ def partition_windows(train: GrowthCurve, k: int) -> list[tuple[int, int]]:
 def fit_windows(train: GrowthCurve, windows: list[tuple[int, int]]) -> CoefficientHistory:
     """Fit a line (raw time -> cumulative count) to every window."""
     rows = []
-    spans = []
     for w, (start, stop) in enumerate(windows, start=1):
         t = train.times[start:stop]
         y = train.counts[start:stop]
@@ -148,28 +141,27 @@ def fit_windows(train: GrowthCurve, windows: list[tuple[int, int]]) -> Coefficie
             raise DegenerateWindowError(
                 f"window {w} (points {start + 1}..{stop}) cannot support a line fit: {exc}"
             ) from None
-        spans.append((t[0], t[-1]))
     return CoefficientHistory(
         matrix=np.vstack(rows),
         k=windows[0][1] - windows[0][0],
         bounds=tuple(windows),
-        spans=np.asarray(spans, dtype=float),
         n_dropped=windows[0][0],
     )
 
 
 def forecast_coefficients(history: CoefficientHistory) -> tuple[StageTwoFit, np.ndarray]:
-    """Regress each coefficient on the window index and extrapolate to W + 1."""
+    """Regress each coefficient on the window index and extrapolate to W + 1.
+
+    Both coefficient columns share the window-index design, so one fit with a
+    two-column response yields the whole trend.
+    """
     n_windows = history.W
     if n_windows < 2:
         raise InsufficientDataError(
             f"coefficient trend needs at least 2 windows, have {n_windows}"
         )
     index = design_matrix(np.arange(1, n_windows + 1, dtype=float))
-    trend = np.vstack(
-        [ols_fit(index, history.matrix[:, rho]) for rho in range(history.m)]
-    )
-    stage2 = StageTwoFit(trend=trend)
+    stage2 = StageTwoFit(trend=ols_fit(index, history.matrix).T)
     return stage2, stage2.predict(n_windows + 1)
 
 
@@ -202,16 +194,6 @@ def apply_moving_average(
     return blend_weight * (corrected + ma)
 
 
-def _run_stages(
-    history: CoefficientHistory, d: int, blend_weight: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, StageTwoFit]:
-    """Stages 2-3 over a coefficient history; returns all intermediates."""
-    stage2, raw = forecast_coefficients(history)
-    corrected, epsilon = error_correct(raw, stage2, history)
-    final = apply_moving_average(corrected, history, d, blend_weight)
-    return final, raw, corrected, epsilon, stage2
-
-
 def select_ma_length(
     history: CoefficientHistory,
     train: GrowthCurve,
@@ -219,11 +201,13 @@ def select_ma_length(
 ) -> tuple[int, tuple[tuple[int, float], ...], bool]:
     """Pick the moving-average length with the least holdout MSE.
 
-    The last training window is held out; stages 1-3 rerun on the first
-    W - 1 windows for every candidate d in 1..W-2 and the resulting line is
-    scored against the held-out points. Ties break toward the smallest d.
-    With fewer than 3 windows there is nothing to hold out, so d = 1 is
-    returned with a diagnostic.
+    The last training window is held out. Stage 2 and the error correction
+    do not depend on d, so they run once on the first W - 1 windows; the
+    moving average for every candidate d in 1..W-2 comes from one reversed
+    cumulative sum of the coefficient rows before the held-out window, and
+    all W - 2 blended lines are scored against the held-out points at once.
+    Ties break toward the smallest d. With fewer than 3 windows there is
+    nothing to hold out, so d = 1 is returned with a diagnostic.
     """
     n_windows = history.W
     if n_windows < 3:
@@ -237,16 +221,16 @@ def select_ma_length(
     t_hold = train.times[start:stop]
     y_hold = train.counts[start:stop]
 
-    candidates: list[tuple[int, float]] = []
-    best_d, best_mse = 1, np.inf
-    for d in range(1, n_windows - 1):
-        coeffs, *_ = _run_stages(sub, d, blend_weight)
-        pred = coeffs[0] + coeffs[1] * t_hold
-        mse = float(np.mean((pred - y_hold) ** 2))
-        candidates.append((d, mse))
-        if mse < best_mse:
-            best_d, best_mse = d, mse
-    return best_d, tuple(candidates), False
+    stage2, raw = forecast_coefficients(sub)
+    corrected, _ = error_correct(raw, stage2, sub)
+    lengths = np.arange(1, n_windows - 1)
+    # row d-1 of ma: mean of the d rows before the last row of sub
+    ma = np.cumsum(sub.matrix[-2::-1], axis=0) / lengths[:, None]
+    coeffs = blend_weight * (corrected + ma)
+    pred = coeffs[:, :1] + coeffs[:, 1:] * t_hold
+    mses = np.mean((pred - y_hold) ** 2, axis=1)
+    candidates = tuple(zip(lengths.tolist(), mses.tolist()))
+    return int(np.argmin(mses)) + 1, candidates, False
 
 
 def predicted_line(model: TsarfModel, times) -> np.ndarray:
@@ -277,7 +261,9 @@ def tsarf_forecast(train: GrowthCurve, config: TsarfConfig | None = None) -> Tsa
         d, candidates, fallback = config.d, (), False
         d_auto = False
 
-    final, raw, corrected, epsilon, stage2 = _run_stages(history, d, config.blend_weight)
+    stage2, raw = forecast_coefficients(history)
+    corrected, epsilon = error_correct(raw, stage2, history)
+    final = apply_moving_average(corrected, history, d, config.blend_weight)
     return TsarfModel(
         coefficients=final,
         raw_forecast=raw,

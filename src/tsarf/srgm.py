@@ -75,20 +75,23 @@ class SrgmFit:
     restarts: int
 
 
+def _mvf(kind: SrgmKind, a, b, c, t):
+    """Mean value function with unchecked parameters and times."""
+    if kind is SrgmKind.GO:
+        return a * (1.0 - np.exp(-b * t))
+    if kind is SrgmKind.DSS:
+        return a * (1.0 - (1.0 + b * t) * np.exp(-b * t))
+    if kind is SrgmKind.WEIBULL:
+        return a * (1.0 - np.exp(-b * t**c))
+    raise UsageError(f"unhandled kind {kind}")  # pragma: no cover
+
+
 def mvf(kind: SrgmKind, params: SrgmParams, t):
     """Expected cumulative faults by time t (scalar or array, t >= 0)."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise UsageError("mean value function is defined for t >= 0 only")
-    a, b, c = params.a, params.b, params.c
-    if kind is SrgmKind.GO:
-        out = a * (1.0 - np.exp(-b * t_arr))
-    elif kind is SrgmKind.DSS:
-        out = a * (1.0 - (1.0 + b * t_arr) * np.exp(-b * t_arr))
-    elif kind is SrgmKind.WEIBULL:
-        out = a * (1.0 - np.exp(-b * t_arr**c))
-    else:  # pragma: no cover
-        raise UsageError(f"unhandled kind {kind}")
+    out = _mvf(kind, params.a, params.b, params.c, t_arr)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
@@ -98,15 +101,8 @@ def _sse_objective(kind: SrgmKind, t: np.ndarray, counts: np.ndarray):
             params = np.exp(log_params)
             if not np.all(np.isfinite(params)):
                 return np.inf
-            a, b = params[0], params[1]
             c = params[2] if params.size == 3 else 1.0
-            if kind is SrgmKind.GO:
-                m = a * (1.0 - np.exp(-b * t))
-            elif kind is SrgmKind.DSS:
-                m = a * (1.0 - (1.0 + b * t) * np.exp(-b * t))
-            else:
-                m = a * (1.0 - np.exp(-b * t**c))
-            value = np.sum((m - counts) ** 2)
+            value = np.sum((_mvf(kind, params[0], params[1], c, t) - counts) ** 2)
         return float(value) if np.isfinite(value) else np.inf
 
     return objective

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tsarf
 from tsarf import ConvergenceError
 from tsarf.cli import main
 from tsarf.report import read_report
@@ -72,6 +77,30 @@ def test_compare_missing_input_exits_2(tmp_path, capsys):
     rc = main(["compare", str(tmp_path / "missing.txt")])
     assert rc == 2
     assert "data error" in capsys.readouterr().err
+
+
+def run_fresh(*args, cwd):
+    """Run a fresh interpreter that imports tsarf from this checkout."""
+    src = str(Path(tsarf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def test_compare_overflowing_times_is_one_line_data_error(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("\n".join(repr(1e200 * i) for i in range(1, 41)) + "\n")
+    result = run_fresh("-m", "tsarf", "compare", str(path), cwd=tmp_path)
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error:"), result.stderr
+
+
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
+    code = "import sys, tsarf.cli; print('scipy.stats' in sys.modules)"
+    result = run_fresh("-c", code, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_compare_bad_test_len_exits_1(line_file, capsys):

@@ -32,8 +32,7 @@ def make_history(matrix, k=3):
     matrix = np.asarray(matrix, dtype=float)
     n_windows = matrix.shape[0]
     bounds = tuple((w * k, (w + 1) * k) for w in range(n_windows))
-    spans = np.array([(float(s), float(e - 1)) for s, e in bounds])
-    return CoefficientHistory(matrix=matrix, k=k, bounds=bounds, spans=spans)
+    return CoefficientHistory(matrix=matrix, k=k, bounds=bounds)
 
 
 class TestPartitionWindows:
@@ -218,15 +217,25 @@ class TestSelectMaLength:
         d, candidates, fallback = select_ma_length(history, curve)
         assert (d, candidates, fallback) == (1, (), True)
 
+    @staticmethod
+    def assert_matches_oracle(curve, k):
+        history = fit_windows(curve, partition_windows(curve, k))
+        d, candidates, _ = select_ma_length(history, curve)
+        oracle_d, oracle_mses = exhaustive_best_d(history, curve)
+        assert d == oracle_d
+        assert [c for c, _ in candidates] == list(range(1, history.W - 1))
+        assert [mse for _, mse in candidates] == pytest.approx(oracle_mses, rel=1e-9)
+        assert candidates[d - 1][1] == min(mse for _, mse in candidates)
+        return history
+
     def test_matches_exhaustive_recomputation(self):
         for seed in range(8):
             curve = make_changepoint_curve(np.random.default_rng(seed), n=60)
-            history = fit_windows(curve, partition_windows(curve, 6))
-            d, candidates, _ = select_ma_length(history, curve)
-            oracle_d, oracle_mses = exhaustive_best_d(history, curve)
-            assert d == oracle_d
-            assert [mse for _, mse in candidates] == pytest.approx(oracle_mses, rel=1e-9)
-            assert candidates[d - 1][1] == min(mse for _, mse in candidates)
+            self.assert_matches_oracle(curve, 6)
+
+    def test_matches_exhaustive_recomputation_with_100_windows(self):
+        curve = make_changepoint_curve(np.random.default_rng(8), n=300)
+        assert self.assert_matches_oracle(curve, 3).W == 100
 
 
 class TestForecastEndToEnd:

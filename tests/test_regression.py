@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from tsarf import RankDeficiencyError, UsageError, design_matrix, ols_fit, ols_predict, sse
+from tsarf import RankDeficiencyError, UsageError, design_matrix, ols_fit
 
 
 def grid_min_sse(X, y, lo=-10.0, hi=10.0, step=0.01):
@@ -42,47 +40,42 @@ def test_fit_beats_grid_on_random_instance():
     y = rng.uniform(-5, 5, size=6)
     X = design_matrix(x)
     beta = ols_fit(X, y)
-    assert sse(y, ols_predict(X, beta)) <= grid_min_sse(X, y) + 1e-9
+    assert np.sum((y - X @ beta) ** 2) <= grid_min_sse(X, y) + 1e-9
 
 
 def test_predict_identity_slope():
-    assert ols_predict(np.array([[1.0, 5.0]]), np.array([0.0, 1.0])).tolist() == [5.0]
+    assert (design_matrix([5.0]) @ np.array([0.0, 1.0])).tolist() == [5.0]
 
 
 def test_predict_hand_values():
-    X = np.array([[1.0, 0.0], [1.0, 10.0]])
-    assert ols_predict(X, np.array([1.0, 2.0])).tolist() == [1.0, 21.0]
+    assert (design_matrix([0.0, 10.0]) @ np.array([1.0, 2.0])).tolist() == [1.0, 21.0]
 
 
 def test_predict_constant_for_zero_slope():
     X = design_matrix(np.array([3.0, 8.0, 9.0]))
-    assert ols_predict(X, np.array([4.5, 0.0])).tolist() == [4.5, 4.5, 4.5]
+    assert (X @ np.array([4.5, 0.0])).tolist() == [4.5, 4.5, 4.5]
 
 
-def test_predict_dimension_mismatch():
+def test_two_column_response_matches_single_columns():
+    rng = np.random.default_rng(5)
+    for _ in range(25):
+        X = design_matrix(rng.uniform(0, 100, size=9))
+        Y = rng.normal(0, 50, size=(9, 2))
+        joint = ols_fit(X, Y)
+        assert joint.shape == (2, 2)
+        for col in range(2):
+            assert joint[:, col] == pytest.approx(ols_fit(X, Y[:, col]), rel=1e-12)
+
+
+def test_response_length_mismatch():
     with pytest.raises(UsageError):
-        ols_predict(np.array([[1.0, 2.0]]), np.array([1.0, 2.0, 3.0]))
+        ols_fit(design_matrix([1.0, 2.0, 3.0]), np.array([1.0, 2.0]))
 
 
-def test_sse_zero_on_equal():
-    assert sse([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-
-def test_sse_hand_value():
-    assert sse([1.0, 2.0], [2.0, 2.0]) == 1.0
-
-
-def test_sse_length_mismatch():
-    with pytest.raises(UsageError):
-        sse([1.0], [1.0, 2.0])
-
-
-@given(st.floats(min_value=-100, max_value=100, allow_nan=False))
-def test_sse_scaling_is_quadratic(s):
-    y = np.array([1.0, 2.0, 4.0])
-    yhat = np.array([0.5, 2.5, 3.0])
-    base = sse(y, yhat)
-    assert sse(s * (y - yhat), np.zeros(3)) == pytest.approx(s * s * base, rel=1e-9)
+def test_overflowing_normal_equations_are_rank_deficient():
+    X = design_matrix(1e200 * np.arange(1.0, 6.0))
+    with pytest.raises(RankDeficiencyError, match="overflow"):
+        ols_fit(X, np.arange(1.0, 6.0))
 
 
 def test_residual_orthogonality():
@@ -91,7 +84,7 @@ def test_residual_orthogonality():
         X = design_matrix(rng.uniform(0, 100, size=12))
         y = rng.normal(0, 50, size=12)
         beta = ols_fit(X, y)
-        residual = y - ols_predict(X, beta)
+        residual = y - X @ beta
         assert np.linalg.norm(X.T @ residual) <= 1e-8 * np.linalg.norm(X.T @ y) + 1e-12
 
 
