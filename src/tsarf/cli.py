@@ -10,6 +10,7 @@ relative output paths.
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 from pathlib import Path
@@ -376,6 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    # library warnings (unsorted input, too few windows) read like the CLI's own
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("warning: %(message)s"))
+    logger = logging.getLogger("tsarf")
+    logger.addHandler(handler)
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -388,6 +394,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

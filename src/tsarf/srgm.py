@@ -1,12 +1,19 @@
 """NHPP software reliability growth models.
 
 Mean value functions for the Goel-Okumoto, delayed S-shaped, and Weibull
-models, least-squares fitting via multi-start Nelder-Mead on log-parameters,
-prediction, and an event simulator used as a statistical oracle in tests.
+models, least-squares fitting on log-parameters, prediction, and an event
+simulator used as a statistical oracle in tests.
 
 Fitting minimizes the squared error between the mean value function and the
 cumulative counts, which keeps the estimation criterion aligned with the
-squared-error comparison metrics.
+squared-error comparison metrics. The multi-start search runs one
+Nelder-Mead, written in numpy, that advances all restarts together one step
+at a time. A step scores the live restarts in at most three broadcast calls
+of the mean value function: the reflection points, the one expansion or
+contraction point each restart needs, and the shrunk vertices. The update is
+that of ``scipy.optimize.minimize(method="Nelder-Mead")`` with the same
+simplex, coefficients, tolerances and limits, so each restart follows the
+path the scalar solver would take, bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dataset import FailureTimes, GrowthCurve
 from .errors import (
@@ -26,10 +32,12 @@ from .errors import (
     UsageError,
 )
 
-#: Nelder-Mead iteration cap per restart.
+#: Nelder-Mead iteration cap per restart; twice as many SSE evaluations.
 MAX_ITER = 10_000
 #: Relative objective tolerance declaring a restart converged.
 SSE_RTOL = 1e-10
+#: Absolute log-parameter tolerance declaring a restart converged.
+X_ATOL = 1e-8
 
 
 class SrgmKind(enum.Enum):
@@ -95,20 +103,18 @@ def mvf(kind: SrgmKind, params: SrgmParams, t):
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def _sse_objective(kind: SrgmKind, t: np.ndarray, counts: np.ndarray):
-    def objective(log_params: np.ndarray) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            params = np.exp(log_params)
-            if not np.all(np.isfinite(params)):
-                return np.inf
-            c = params[2] if params.size == 3 else 1.0
-            value = np.sum((_mvf(kind, params[0], params[1], c, t) - counts) ** 2)
-        return float(value) if np.isfinite(value) else np.inf
-
-    return objective
+def _sse(kind: SrgmKind, log_params: np.ndarray, t: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """SSE of the mean value function at each row of (M, P) log-parameters;
+    inf where a parameter or the sum is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        params = np.exp(log_params)
+        c = params[:, 2:] if params.shape[1] == 3 else 1.0
+        sse = ((_mvf(kind, params[:, :1], params[:, 1:2], c, t) - counts) ** 2).sum(axis=1)
+    sse[~(np.isfinite(params).all(axis=1) & np.isfinite(sse))] = np.inf
+    return sse
 
 
-def _starting_points(kind: SrgmKind, counts: np.ndarray, t: np.ndarray) -> list[np.ndarray]:
+def _starting_points(kind: SrgmKind, counts: np.ndarray, t: np.ndarray) -> np.ndarray:
     n_max = float(np.max(counts))
     t_bar = float(np.mean(t))
     a_grid = [m * n_max for m in (1.0, 2.0, 5.0)]
@@ -118,14 +124,99 @@ def _starting_points(kind: SrgmKind, counts: np.ndarray, t: np.ndarray) -> list[
         combos = itertools.product(a_grid, b_grid, c_grid)
     else:
         combos = itertools.product(a_grid, b_grid)
-    return [np.log(np.asarray(combo, dtype=float)) for combo in combos]
+    return np.log(np.array(list(combos), dtype=float))
+
+
+def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each restart's simplex with its vertices in increasing objective order."""
+    rows = np.arange(len(fsim))[:, None]
+    order = np.argsort(fsim, axis=1)
+    return sim[rows, order], fsim[rows, order]
+
+
+def _nelder_mead(objective, x0: np.ndarray):
+    """Minimize from every row of x0 (R, N) at once; objective maps (M, N)
+    points to M values.
+
+    Each restart takes exactly the steps of scipy's Nelder-Mead with
+    xatol=X_ATOL, fatol=SSE_RTOL * max(1, f(x0)), maxiter=MAX_ITER and
+    maxfev=2 * MAX_ITER. Returns per restart the best vertex, its value and
+    the iteration count when the tolerance test passed within those limits;
+    the value is inf for a restart that hit a limit instead.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n_starts, dim = x0.shape
+    sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
+    for k in range(dim):
+        sim[:, k + 1, k] = np.where(x0[:, k] != 0, (1 + 0.05) * x0[:, k], 0.00025)
+    fsim = objective(sim.reshape(-1, dim)).reshape(n_starts, dim + 1)
+    fatol = SSE_RTOL * np.maximum(1.0, fsim[:, 0])
+    # scipy sorts the first simplex twice; an unstable sort may reorder ties
+    sim, fsim = _sorted(*_sorted(sim, fsim))
+
+    best_x = np.array(x0)
+    best_f = np.full(n_starts, np.inf)
+    best_nit = np.zeros(n_starts, dtype=int)
+    # state of the restarts still running, one row each
+    live = np.arange(n_starts)
+    nfev = np.full(n_starts, dim + 1)
+    nit = np.ones(n_starts, dtype=int)
+    while True:
+        with np.errstate(invalid="ignore"):
+            done = (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= X_ATOL) & (
+                np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
+            )
+        within = (nfev < 2 * MAX_ITER) & (nit < MAX_ITER)
+        keep = within & ~done
+        if not keep.all():
+            stop = within & done
+            best_x[live[stop]] = sim[stop, 0]
+            best_f[live[stop]] = fsim[stop, 0]
+            best_nit[live[stop]] = nit[stop]
+            live, sim, fsim, fatol, nfev, nit = (
+                a[keep] for a in (live, sim, fsim, fatol, nfev, nit)
+            )
+            if not live.size:
+                return best_x, best_f, best_nit
+
+        xbar = np.add.reduce(sim[:, :-1], 1) / dim
+        worst = sim[:, -1]
+        xr = (1 + rho) * xbar - rho * worst
+        fxr = objective(xr)
+        expand = fxr < fsim[:, 0]
+        reflect = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~reflect & (fxr < fsim[:, -1])
+        inside = ~(expand | reflect | outside)
+        x2 = np.where(
+            expand[:, None],
+            (1 + rho * chi) * xbar - rho * chi * worst,
+            np.where(
+                outside[:, None],
+                (1 + psi * rho) * xbar - psi * rho * worst,
+                (1 - psi) * xbar + psi * worst,
+            ),
+        )
+        f2 = np.array(fxr)
+        f2[~reflect] = objective(x2[~reflect])
+        take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < fsim[:, -1]))
+        shrink = (outside | inside) & ~take2
+        sim[:, -1] = np.where(take2[:, None], x2, np.where(shrink[:, None], worst, xr))
+        fsim[:, -1] = np.where(take2, f2, np.where(shrink, fsim[:, -1], fxr))
+        if shrink.any():
+            shrunk = sim[shrink, :1] + sigma * (sim[shrink, 1:] - sim[shrink, :1])
+            sim[shrink, 1:] = shrunk
+            fsim[shrink, 1:] = objective(shrunk.reshape(-1, dim)).reshape(-1, dim)
+        nfev += 1 + ~reflect + dim * shrink
+        nit += 1
+        sim, fsim = _sorted(sim, fsim)
 
 
 def fit_srgm(train: GrowthCurve, kind: SrgmKind) -> SrgmFit:
     """Least-squares fit of the mean value function to a training curve.
 
-    Multi-start Nelder-Mead over log-parameters; the winner is the converged
-    restart with the lowest SSE (ties broken by restart order).
+    Multi-start Nelder-Mead over log-parameters, all restarts in lockstep;
+    the winner is the converged restart with the lowest SSE (ties broken by
+    restart order).
     """
     t = train.times
     counts = train.counts
@@ -138,33 +229,15 @@ def fit_srgm(train: GrowthCurve, kind: SrgmKind) -> SrgmFit:
     if np.max(t) <= np.min(t) or np.mean(t) <= 0:
         raise DegenerateDataError("times show no spread; rate is unidentifiable")
 
-    objective = _sse_objective(kind, t, counts)
-    best: tuple[float, int, np.ndarray, int] | None = None  # (sse, order, x, nit)
-    restarts = 0
-    for order, x0 in enumerate(_starting_points(kind, counts, t)):
-        restarts += 1
-        f0 = objective(x0)
-        result = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": MAX_ITER,
-                "maxfev": 2 * MAX_ITER,
-                "xatol": 1e-8,
-                "fatol": SSE_RTOL * max(1.0, f0),
-            },
-        )
-        if not result.success:
-            continue
-        if best is None or result.fun < best[0]:
-            best = (float(result.fun), order, result.x, int(result.nit))
-    if best is None:
+    starts = _starting_points(kind, counts, t)
+    x, sse, nit = _nelder_mead(lambda p: _sse(kind, p, t, counts), starts)
+    best = int(np.argmin(sse))
+    if np.isinf(sse[best]):
         raise ConvergenceError(
-            f"{kind.value}: none of the {restarts} restarts converged"
+            f"{kind.value}: none of the {len(starts)} restarts converged"
         )
 
-    values = np.exp(best[2])
+    values = np.exp(x[best])
     params = SrgmParams(
         a=float(values[0]),
         b=float(values[1]),
@@ -173,10 +246,10 @@ def fit_srgm(train: GrowthCurve, kind: SrgmKind) -> SrgmFit:
     return SrgmFit(
         kind=kind,
         params=params,
-        sse=best[0],
+        sse=float(sse[best]),
         converged=True,
-        iterations=best[3],
-        restarts=restarts,
+        iterations=int(nit[best]),
+        restarts=len(starts),
     )
 
 

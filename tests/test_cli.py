@@ -103,6 +103,26 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path):
     assert result.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    code = "import sys, tsarf.cli; print('scipy.optimize' in sys.modules)"
+    result = run_fresh("-c", code, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
+def test_library_warnings_carry_cli_prefix(tmp_path):
+    path = tmp_path / "unsorted.txt"
+    path.write_text("\n".join(map(str, [3, 1, 2, 5, 4, 6, 8, 7, 9, 11, 10, 12])) + "\n")
+    result = run_fresh(
+        "-m", "tsarf", "compare", str(path), "--models", "tsarf", "--window-size", "4", cwd=tmp_path
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines() == [
+        "warning: failure times were not sorted; sorting 12 entries",
+        "warning: only 2 windows: falling back to moving-average length 1",
+    ]
+
+
 def test_compare_bad_test_len_exits_1(line_file, capsys):
     rc = main(["compare", str(line_file), "--test-len", "0"])
     assert rc == 1
@@ -152,6 +172,24 @@ def test_compare_marks_convergence_failures(tmp_path, go_file, capsys, monkeypat
     payload = json.loads(report_path.read_text())
     by_model = {e["model"]: e for e in payload["models"]}
     assert by_model["go"]["status"] == "convergence_error"
+    assert by_model["tsarf"]["status"] == "ok"
+
+
+def test_compare_reports_capped_srgm_restarts(tmp_path, go_file, monkeypatch):
+    monkeypatch.setattr("tsarf.srgm.MAX_ITER", 2)
+    report_path = tmp_path / "r.json"
+    rc = main(
+        [
+            "compare", str(go_file),
+            "--models", "tsarf,go",
+            "--output", str(report_path),
+            "--curves", str(tmp_path / "c.csv"),
+        ]
+    )
+    assert rc == 3
+    by_model = {e["model"]: e for e in json.loads(report_path.read_text())["models"]}
+    assert by_model["go"]["status"] == "convergence_error"
+    assert "none of the 9 restarts converged" in by_model["go"]["error"]
     assert by_model["tsarf"]["status"] == "ok"
 
 

@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from conftest import make_changepoint_curve
 from tsarf import (
+    ConvergenceError,
     DegenerateDataError,
     GrowthCurve,
     InsufficientDataError,
@@ -14,6 +18,7 @@ from tsarf import (
     simulate_nhpp,
     srgm_predict,
 )
+from tsarf import srgm
 
 
 def go_curve(a=100.0, b=0.05, t_max=100):
@@ -109,6 +114,85 @@ class TestFit:
         assert fit.restarts == 9
         assert fit.iterations > 0
         assert fit.kind is SrgmKind.GO
+
+
+def scipy_reference_fit(curve, kind):
+    """One scipy.optimize.minimize call per restart, with the options the
+    lockstep solver reproduces; returns the winning result and the restarts."""
+    from scipy.optimize import minimize
+
+    t, counts = curve.times, curve.counts
+
+    def objective(log_params):
+        with np.errstate(over="ignore", invalid="ignore"):
+            params = np.exp(log_params)
+            if not np.all(np.isfinite(params)):
+                return np.inf
+            c = params[2] if params.size == 3 else 1.0
+            value = np.sum((srgm._mvf(kind, params[0], params[1], c, t) - counts) ** 2)
+        return float(value) if np.isfinite(value) else np.inf
+
+    grids = [
+        [m * float(np.max(counts)) for m in (1.0, 2.0, 5.0)],
+        [theta / float(np.mean(t)) for theta in (0.5, 1.0, 2.0)],
+    ]
+    if kind is SrgmKind.WEIBULL:
+        grids.append([0.5, 1.0, 2.0])
+    starts = [np.log(np.asarray(combo, dtype=float)) for combo in itertools.product(*grids)]
+    best = None
+    for x0 in starts:
+        result = minimize(
+            objective,
+            x0,
+            method="Nelder-Mead",
+            options={
+                "maxiter": srgm.MAX_ITER,
+                "maxfev": 2 * srgm.MAX_ITER,
+                "xatol": 1e-8,
+                "fatol": 1e-10 * max(1.0, objective(x0)),
+            },
+        )
+        if result.success and (best is None or result.fun < best.fun):
+            best = result
+    return best, len(starts)
+
+
+ORACLE_CURVES = {
+    "go": go_curve,
+    "changepoint": lambda: make_changepoint_curve(np.random.default_rng(7), n=60),
+    "line": lambda: GrowthCurve((np.arange(1.0, 41.0) - 1.0) / 2.0, np.arange(1.0, 41.0)),
+}
+
+
+def assert_matches_reference(curve, kind):
+    expected, restarts = scipy_reference_fit(curve, kind)
+    fit = fit_srgm(curve, kind)
+    values = np.exp(expected.x)
+    assert fit.sse == expected.fun
+    assert (fit.params.a, fit.params.b) == (values[0], values[1])
+    assert fit.params.c == (values[2] if kind is SrgmKind.WEIBULL else 1.0)
+    assert fit.iterations == expected.nit
+    assert fit.restarts == restarts == (27 if kind is SrgmKind.WEIBULL else 9)
+
+
+@pytest.mark.parametrize("kind", list(SrgmKind))
+@pytest.mark.parametrize("curve_name", sorted(ORACLE_CURVES))
+def test_lockstep_matches_scipy_per_restart(curve_name, kind):
+    assert_matches_reference(ORACLE_CURVES[curve_name](), kind)
+
+
+# On go_curve() the restarts need 62-78 (GO) and 152-296 (Weibull) iterations,
+# so these caps stop some restarts and the winner comes from the rest.
+@pytest.mark.parametrize("kind, cap", [(SrgmKind.GO, 70), (SrgmKind.WEIBULL, 250)])
+def test_lockstep_matches_scipy_when_some_restarts_hit_the_cap(monkeypatch, kind, cap):
+    monkeypatch.setattr(srgm, "MAX_ITER", cap)
+    assert_matches_reference(go_curve(), kind)
+
+
+def test_every_restart_capped_raises(monkeypatch):
+    monkeypatch.setattr(srgm, "MAX_ITER", 2)
+    with pytest.raises(ConvergenceError, match="none of the 9 restarts converged"):
+        fit_srgm(go_curve(), SrgmKind.GO)
 
 
 class TestPredict:
