@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -33,6 +34,8 @@ from .report import (
     order_models,
     render_metrics_table,
     render_sweep_table,
+    srgm_entry,
+    tsarf_entry,
     write_curves_csv,
     write_report,
     write_sweep_csv,
@@ -114,39 +117,6 @@ def _resolve_split(curve: GrowthCurve, args) -> SplitCurve:
     return SplitCurve(parts.train, parts.test, f"auto (test_len={test_len})")
 
 
-def _tsarf_entry(model) -> dict:
-    return {
-        "k": model.k_used,
-        "d": model.d_used,
-        "d_auto": model.d_auto,
-        "d_fallback": model.d_fallback,
-        "blend_weight": model.blend_weight,
-        "windows": model.history.W,
-        "points_dropped": model.history.n_dropped,
-        "coefficients": model.coefficients.tolist(),
-        "raw_forecast": model.raw_forecast.tolist(),
-        "corrected_forecast": model.corrected_forecast.tolist(),
-        "epsilon": model.epsilon.tolist(),
-        "coefficient_history": model.history.matrix.tolist(),
-        "stage2_trend": model.stage2.trend.tolist(),
-        "ma_candidates": [[d, mse] for d, mse in model.ma_candidates],
-    }
-
-
-def _srgm_entry(fit) -> dict:
-    entry = {
-        "a": fit.params.a,
-        "b": fit.params.b,
-        "sse": fit.sse,
-        "converged": fit.converged,
-        "iterations": fit.iterations,
-        "restarts": fit.restarts,
-    }
-    if fit.kind is SrgmKind.WEIBULL:
-        entry["c"] = fit.params.c
-    return entry
-
-
 def _run_models(
     parts: SplitCurve, models: list[str], k: int | None, d: int | None, blend_weight: float
 ) -> tuple[list[MetricsReport], dict[str, str], list[dict], dict[str, np.ndarray]]:
@@ -166,12 +136,12 @@ def _run_models(
                 predictions[name] = np.concatenate(
                     [window_fitted_values(model, parts.train), pred_test]
                 )
-                entry["tsarf"] = _tsarf_entry(model)
+                entry["tsarf"] = tsarf_entry(model)
             else:
                 fit = fit_srgm(parts.train, SrgmKind.from_label(name))
                 pred_test = srgm_predict(fit, parts.test.times)
                 predictions[name] = srgm_predict(fit, all_times)
-                entry["srgm"] = _srgm_entry(fit)
+                entry["srgm"] = srgm_entry(fit)
         except ConvergenceError as exc:
             failed[name] = str(exc)
             entry["status"] = "convergence_error"
@@ -186,6 +156,16 @@ def _run_models(
     return reports, failed, entries, predictions
 
 
+def _write_run_report(meta: dict, parts: SplitCurve, entries: list[dict], output: str) -> None:
+    report = RunReport(
+        dataset=meta,
+        split={"train_n": parts.train.n, "test_n": parts.test.n, "policy": parts.policy},
+        models=entries,
+        version=__version__,
+    )
+    write_report(report, _resolve_output(output))
+
+
 def cmd_compare(args) -> int:
     curve, meta = read_curve_file(args.input)
     parts = _resolve_split(curve, args)
@@ -196,14 +176,7 @@ def cmd_compare(args) -> int:
     reports, failed, entries, predictions = _run_models(
         parts, models, k, d, args.blend_weight
     )
-
-    report = RunReport(
-        dataset=meta,
-        split={"train_n": parts.train.n, "test_n": parts.test.n, "policy": parts.policy},
-        models=entries,
-        version=__version__,
-    )
-    write_report(report, _resolve_output(args.output))
+    _write_run_report(meta, parts, entries, args.output)
     write_curves_csv(
         _resolve_output(args.curves),
         np.concatenate([parts.train.times, parts.test.times]),
@@ -259,28 +232,46 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    from scipy import stats  # only simulate needs it; keeps start-up light
+def _poisson_band(mean: float) -> tuple[int, int]:
+    """Central 99.9% interval of a Poisson count, as ``scipy.stats.poisson.interval``.
 
+    Each end is the smallest k whose CDF reaches (1 -/+ 0.999)/2. The pmf is
+    taken over mode +- (40 + 12 sqrt(mean)), which holds all but a negligible
+    tail of the mass, and normalised to sum to one. Its logarithm is summed
+    from the steps log(pmf(k) / pmf(k - 1)) = log(mean / k): at means of 1e8
+    and 1e9 this puts the CDF within 1e-14 of its exact value, where
+    ``k log(mean) - mean - lgamma(k + 1)`` is only within about 1e-12.
+    The tests check exact equality with scipy for means from 1e-3 to 1e8.
+    """
+    mode = math.floor(mean)
+    half = int(40 + 12 * math.sqrt(mean))
+    k = np.arange(max(0, mode - half), mode + half + 1)
+    steps = np.log1p((mean - k[1:]) / k[1:])
+    log_pmf = np.concatenate([[0.0], np.cumsum(steps)])
+    pmf = np.exp(log_pmf - log_pmf.max())
+    cdf = np.cumsum(pmf) / pmf.sum()
+    lo, hi = np.searchsorted(cdf, [(1.0 - 0.999) / 2, (1.0 + 0.999) / 2])
+    return int(k[0] + lo), int(k[0] + hi)
+
+
+def cmd_simulate(args) -> int:
     kind = SrgmKind.from_label(args.kind)
     params = SrgmParams(a=args.a, b=args.b, c=args.c)
     times = simulate_nhpp(kind, params, args.horizon, args.seed)
     path = _resolve_output(args.output)
-    lines = [
-        f"# simulated {kind.value} failure times",
-        f"# a={args.a} b={args.b} c={args.c} horizon={args.horizon} seed={args.seed}",
-    ]
-    lines.extend(f"{t:.10g}" for t in times.times)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as handle:
+        handle.write(f"# simulated {kind.value} failure times\n")
+        handle.write(f"# a={args.a} b={args.b} c={args.c} horizon={args.horizon} seed={args.seed}\n")
+        handle.writelines(f"{t:.10g}\n" for t in times.times.tolist())
 
     total = mvf(kind, params, args.horizon)
-    lo, hi = stats.poisson.interval(0.999, total)
+    lo, hi = _poisson_band(total)
     count = len(times)
     print(f"wrote {count} failure times to {path}")
     if not lo <= count <= hi:
         print(
             f"warning: realized count {count} falls outside the 99.9% Poisson band "
-            f"[{int(lo)}, {int(hi)}] around {total:.2f}",
+            f"[{lo}, {hi}] around {total:.2f}",
             file=sys.stderr,
         )
     return 0
@@ -293,13 +284,7 @@ def cmd_fit(args) -> int:
     d = _parse_auto_int(args.ma, "moving-average length", 1)
 
     reports, failed, entries, _ = _run_models(parts, [args.model], k, d, args.blend_weight)
-    report = RunReport(
-        dataset=meta,
-        split={"train_n": parts.train.n, "test_n": parts.test.n, "policy": parts.policy},
-        models=entries,
-        version=__version__,
-    )
-    write_report(report, _resolve_output(args.output))
+    _write_run_report(meta, parts, entries, args.output)
 
     entry = entries[0]
     if entry["status"] != "ok":

@@ -13,6 +13,7 @@ import csv
 import io
 import logging
 from dataclasses import dataclass
+from itertools import compress, islice
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -21,6 +22,9 @@ import numpy as np
 from .errors import DataError, UsageError
 
 logger = logging.getLogger(__name__)
+
+#: Lines parsed at a time, which bounds the strings held at once.
+_BLOCK_LINES = 8192
 
 
 @dataclass(frozen=True)
@@ -87,30 +91,56 @@ class SplitCurve:
     policy: str
 
 
+def _parse_prefix(texts: list[str]) -> np.ndarray:
+    """Parse every text as a float, or only the texts before the first one
+    ``float`` rejects."""
+    try:
+        return np.fromiter(map(float, texts), float, len(texts))
+    except ValueError:
+        n = 0
+        for text in texts:
+            try:
+                float(text)
+            except ValueError:
+                break
+            n += 1
+        return np.fromiter(map(float, texts[:n]), float, n)
+
+
 def load_failure_times(source: TextIO | Iterable[str]) -> FailureTimes:
     """Parse newline-delimited failure times.
 
     Blank lines and lines starting with ``#`` are ignored. Unsorted input is
     sorted with a warning; negative, non-finite, or non-numeric entries are
-    rejected with the offending line number.
+    rejected with the number of the first offending line.
     """
-    times: list[float] = []
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            value = float(line)
-        except ValueError:
-            raise DataError(f"line {lineno}: non-numeric failure time {line!r}") from None
-        if not np.isfinite(value):
-            raise DataError(f"line {lineno}: non-finite failure time {line!r}")
-        if value < 0:
-            raise DataError(f"line {lineno}: negative failure time {value}")
-        times.append(value)
-    if not times:
+    blocks = []
+    lines_before = 0
+    source = iter(source)
+    while lines := [raw.strip() for raw in islice(source, _BLOCK_LINES)]:
+        is_data = [line != "" and line[0] != "#" for line in lines]
+        texts = list(compress(lines, is_data))
+        linenos = np.flatnonzero(is_data) + lines_before + 1
+        lines_before += len(lines)
+        arr = _parse_prefix(texts)
+        # Parsing stops at the first non-numeric text, so a bad parsed value
+        # always comes before it in the file.
+        bad = np.flatnonzero(~np.isfinite(arr) | (arr < 0))
+        if bad.size:
+            i = int(bad[0])
+            problem = (
+                f"negative failure time {float(arr[i])}" if np.isfinite(arr[i])
+                else f"non-finite failure time {texts[i]!r}"
+            )
+            raise DataError(f"line {linenos[i]}: {problem}")
+        if arr.size < len(texts):
+            raise DataError(
+                f"line {linenos[arr.size]}: non-numeric failure time {texts[arr.size]!r}"
+            )
+        blocks.append(arr)
+    arr = np.concatenate(blocks) if blocks else np.empty(0)
+    if not arr.size:
         raise DataError("no failure times in input")
-    arr = np.asarray(times, dtype=float)
     required_sorting = bool(np.any(np.diff(arr) < 0))
     if required_sorting:
         logger.warning("failure times were not sorted; sorting %d entries", arr.size)

@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import DataError
 from .metrics import MetricsReport
+from .pipeline import TsarfModel
+from .srgm import SrgmFit, SrgmKind
 
 #: Canonical display order for model rows in tables and reports.
 MODEL_ORDER = ("tsarf", "dss", "go", "weibull")
@@ -62,6 +64,41 @@ def metrics_to_dict(report: MetricsReport) -> dict:
     }
 
 
+def tsarf_entry(model: TsarfModel) -> dict:
+    """Report fields of a fitted TSARF model."""
+    return {
+        "k": model.k_used,
+        "d": model.d_used,
+        "d_auto": model.d_auto,
+        "d_fallback": model.d_fallback,
+        "blend_weight": model.blend_weight,
+        "windows": model.history.W,
+        "points_dropped": model.history.n_dropped,
+        "coefficients": model.coefficients.tolist(),
+        "raw_forecast": model.raw_forecast.tolist(),
+        "corrected_forecast": model.corrected_forecast.tolist(),
+        "epsilon": model.epsilon.tolist(),
+        "coefficient_history": model.history.matrix.tolist(),
+        "stage2_trend": model.stage2.trend.tolist(),
+        "ma_candidates": [[d, mse] for d, mse in model.ma_candidates],
+    }
+
+
+def srgm_entry(fit: SrgmFit) -> dict:
+    """Report fields of a fitted NHPP baseline; ``c`` only for Weibull."""
+    entry = {
+        "a": fit.params.a,
+        "b": fit.params.b,
+        "sse": fit.sse,
+        "converged": fit.converged,
+        "iterations": fit.iterations,
+        "restarts": fit.restarts,
+    }
+    if fit.kind is SrgmKind.WEIBULL:
+        entry["c"] = fit.params.c
+    return entry
+
+
 def write_report(report: RunReport, path: str | Path) -> None:
     Path(path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
 
@@ -97,6 +134,23 @@ def render_metrics_table(reports: list[MetricsReport], failed: dict[str, str] | 
     return "\n".join(lines)
 
 
+#: Rows formatted at a time, which bounds the cell strings held at once. On a
+#: 10^5-row curve, formatting whole columns instead holds about 20 MB more.
+_CSV_BLOCK_ROWS = 8192
+
+
+def _csv_cells(values: np.ndarray) -> list[str]:
+    return [f"{v:.10g}" for v in values.tolist()]
+
+
+def _prediction_cells(values: np.ndarray) -> list[str]:
+    """Like ``_csv_cells``, with non-finite predictions (dropped points) blank."""
+    cells = _csv_cells(values)
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        cells[i] = ""
+    return cells
+
+
 def write_curves_csv(
     path: str | Path,
     times: np.ndarray,
@@ -104,18 +158,24 @@ def write_curves_csv(
     predictions: dict[str, np.ndarray],
     train_n: int,
 ) -> None:
-    """Emit header ``t,actual,<model>...,partition``; NaN cells are left blank."""
+    """Emit header ``t,actual,<model>...,partition``; NaN cells are left blank.
+
+    Rows end in ``\\r\\n``, as ``csv.writer`` writes them; no cell holds a
+    comma or a quote, so cells are joined without quoting.
+    """
     models = order_models(list(predictions))
+    partition = ["train"] * train_n + ["test"] * (len(times) - train_n)
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "actual", *models, "partition"])
-        for i in range(len(times)):
-            row = [f"{times[i]:.10g}", f"{actual[i]:.10g}"]
-            for model in models:
-                value = predictions[model][i]
-                row.append("" if not np.isfinite(value) else f"{value:.10g}")
-            row.append("train" if i < train_n else "test")
-            writer.writerow(row)
+        handle.write(",".join(["t", "actual", *models, "partition"]) + "\r\n")
+        for start in range(0, len(times), _CSV_BLOCK_ROWS):
+            block = slice(start, start + _CSV_BLOCK_ROWS)
+            columns = [
+                _csv_cells(times[block]),
+                _csv_cells(actual[block]),
+                *(_prediction_cells(predictions[model][block]) for model in models),
+                partition[block],
+            ]
+            handle.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
 
 def write_sweep_csv(

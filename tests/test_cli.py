@@ -1,16 +1,22 @@
+import contextlib
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import tsarf
-from tsarf import ConvergenceError
-from tsarf.cli import main
-from tsarf.report import read_report
+from tsarf import ConvergenceError, FailureTimes
+from tsarf.cli import _poisson_band, main
+from tsarf.report import order_models, read_report, write_curves_csv
 
 
 @pytest.fixture
@@ -108,6 +114,55 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     result = run_fresh("-c", code, cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_simulate_leaves_scipy_stats_and_optimize_unloaded(tmp_path):
+    code = (
+        "import sys; from tsarf.cli import main; "
+        "rc = main(['simulate', '--kind', 'go', '--a', '50', '--b', '0.1', '--horizon', '30', "
+        "'--output', 'sim.txt']); print(rc, 'scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)"
+    )
+    result = run_fresh("-c", code, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False False"
+
+
+def test_poisson_band_equals_scipy_interval():
+    from scipy.stats import poisson
+
+    # At the last two means, an unnormalised pmf from
+    # k log(mean) - mean - lgamma(k + 1) puts an end one count off.
+    grid = np.concatenate([
+        np.logspace(-3, 8, 500),
+        [0.5, 1.0, 7.0, 106_000.0, 1e7, 18_015_200.40802024, 100_000_000.0],
+    ])
+    for mean in grid.tolist():
+        lo, hi = poisson.interval(0.999, mean)
+        assert _poisson_band(mean) == (lo, hi), mean
+
+
+def test_simulate_warns_when_count_leaves_poisson_band(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("tsarf.cli.simulate_nhpp", lambda *args: FailureTimes(np.arange(1.0, 4.0)))
+    rc = main(
+        ["simulate", "--kind", "go", "--a", "100", "--b", "0.1", "--horizon", "50",
+         "--output", str(tmp_path / "sim.txt")]
+    )
+    assert rc == 0
+    lo, hi = _poisson_band(tsarf.mvf(tsarf.SrgmKind.GO, tsarf.SrgmParams(100, 0.1), 50.0))
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: realized count 3 falls outside")
+    assert f"Poisson band [{lo}, {hi}]" in err[0]
+
+
+@pytest.mark.parametrize("times", [[], [0.125, 1 / 3, 2.0, 1e-320, 123456789.0123]])
+def test_simulate_file_bytes(tmp_path, monkeypatch, times):
+    monkeypatch.setattr("tsarf.cli.simulate_nhpp", lambda *args: FailureTimes(np.array(times)))
+    path = tmp_path / "sim.txt"
+    args = ["--a", "5", "--b", "0.1", "--horizon", "50", "--seed", "4"]
+    assert main(["simulate", "--kind", "dss", *args, "--output", str(path)]) == 0
+    header = "# simulated dss failure times\n# a=5.0 b=0.1 c=1.0 horizon=50.0 seed=4\n"
+    assert path.read_text() == header + "".join(f"{float(t):.10g}\n" for t in times)
 
 
 def test_library_warnings_carry_cli_prefix(tmp_path):
@@ -236,6 +291,65 @@ def test_curves_csv_shape(tmp_path, line_file):
     partitions = [l.rsplit(",", 1)[1] for l in lines[1:]]
     assert partitions.count("test") > 0
     assert partitions == sorted(partitions, key=lambda p: p == "test")
+
+
+def per_row_curves_csv(path, times, actual, predictions, train_n):
+    """The row-by-row ``csv.writer`` loop the column-wise writer replaced."""
+    models = order_models(list(predictions))
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t", "actual", *models, "partition"])
+        for i in range(len(times)):
+            row = [f"{times[i]:.10g}", f"{actual[i]:.10g}"]
+            for model in models:
+                value = predictions[model][i]
+                row.append("" if not np.isfinite(value) else f"{value:.10g}")
+            row.append("train" if i < train_n else "test")
+            writer.writerow(row)
+
+
+cell_values = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(0, 30).flatmap(
+        lambda n: st.tuples(
+            st.lists(cell_values, min_size=n, max_size=n),
+            st.lists(st.tuples(cell_values, cell_values, cell_values), min_size=n, max_size=n),
+            st.integers(0, n),
+            st.sets(st.sampled_from(["go", "weibull", "tsarf", "dss"]), min_size=1),
+        )
+    )
+)
+def test_curves_csv_matches_csv_writer_bytes(case):
+    times, preds, train_n, models = case
+    times = np.asarray(times, dtype=float)
+    columns = np.asarray(preds, dtype=float).reshape(-1, 3)
+    predictions = {m: columns[:, i % 3] for i, m in enumerate(sorted(models))}
+    actual = np.arange(1.0, times.size + 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        write_curves_csv(got, times, actual, predictions, train_n)
+        per_row_curves_csv(want, times, actual, predictions, train_n)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_curves_csv_bytes_with_dropped_training_points(tmp_path, monkeypatch):
+    monkeypatch.setattr("tsarf.report._CSV_BLOCK_ROWS", 4)
+    times = np.array([0.5, 1.0, 2.25, 3.0, 1.7e9, 1e-320])
+    predictions = {
+        "weibull": np.array([1.0, 2.0, np.inf, 4.0, 5.5, 6.0]),
+        "tsarf": np.array([np.nan, np.nan, 3.0000000001, 4.0, 5.0, -1e200]),
+        "go": np.array([0.9, 2.1, 3.2, 3.9, np.nan, 6.1]),
+    }
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_curves_csv(got, times, np.arange(1.0, 7.0), predictions, 4)
+    per_row_curves_csv(want, times, np.arange(1.0, 7.0), predictions, 4)
+    data = got.read_bytes()
+    assert data == want.read_bytes()
+    assert data.startswith(b"t,actual,tsarf,go,weibull,partition\r\n0.5,1,,0.9,1,train\r\n")
+    assert data.endswith(b"9.999888672e-321,6,-1e+200,6.1,6,test\r\n")
 
 
 def test_sweep_window_rows_and_error_marker(tmp_path, go_file, capsys):
@@ -367,3 +481,41 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+fuzz_cells = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1.7e9", "1e200", "1e-320", "-1", "0", "x", "", "#", "time,count"]),
+    st.floats(min_value=0, max_value=1e3).map(repr),
+    st.integers(0, 10_000).map(str),
+)
+fuzz_increasing = st.tuples(
+    st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=8, max_size=50),
+    st.sampled_from([1e-3, 1.0, 1e6]),
+    st.sampled_from([0.0, 1.7e9, 1e200]),
+).map(lambda case: np.cumsum(case[0]) * case[1] + case[2])
+fuzz_inputs = st.one_of(
+    st.lists(fuzz_cells, max_size=50).map("\n".join),
+    st.lists(st.tuples(fuzz_cells, fuzz_cells).map(",".join) | fuzz_cells, max_size=50).map(
+        lambda rows: "\n".join(["time,count", *rows])
+    ),
+    fuzz_increasing.map(lambda t: "\n".join(repr(float(v)) for v in t)),
+    fuzz_increasing.map(
+        lambda t: "\n".join(["time,count", *(f"{v!r},{i}" for i, v in enumerate(t.tolist(), 1))])
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fuzz_inputs)
+def test_compare_fuzz_exits_with_a_known_code(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        data, report = Path(tmp) / "in.txt", Path(tmp) / "r.json"
+        data.write_text(text + "\n")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(
+                ["compare", str(data), "--models", "tsarf,go",
+                 "--output", str(report), "--curves", str(Path(tmp) / "c.csv")]
+            )
+        assert rc in (0, 1, 2, 3)
+        if rc in (0, 3):
+            assert read_report(report).models

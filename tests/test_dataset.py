@@ -1,4 +1,5 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from tsarf import (
     split,
     to_growth_curve,
 )
+from tsarf import dataset
 
 finite_times = st.lists(
     st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -167,3 +169,96 @@ def test_read_curve_file_sniffs_format(tmp_path):
 def test_read_curve_file_missing(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         read_curve_file(tmp_path / "nope.txt")
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("1.0\n-2.0\nbogus\n", "line 2: negative failure time -2.0"),
+        ("1.0\nbogus\n-2.0\n", "line 2: non-numeric failure time 'bogus'"),
+        ("# c\nnan\n-2.0\n", "line 2: non-finite failure time 'nan'"),
+        ("# c\n-2.0\ninf\n", "line 2: negative failure time -2.0"),
+        ("1.0\n\ninf\nbogus\n", "line 3: non-finite failure time 'inf'"),
+        ("1.0\nbogus\n-inf\n", "line 2: non-numeric failure time 'bogus'"),
+    ],
+)
+def test_load_reports_first_bad_line_in_file_order(text, message):
+    with pytest.raises(DataError) as info:
+        load_failure_times(io.StringIO(text))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    ("rows", "message"),
+    [
+        ("1,1\n-2,2\n3,x\n", "line 3: negative time -2.0"),
+        ("1,1\n3,x\n-2,2\n", "line 3: non-numeric entry in ['3', 'x']"),
+        ("nan,1\n2,1,9\n", "line 2: non-finite entry"),
+        ("1,2,3\n2,inf\n", "line 2: expected two columns, got 3"),
+        ("2,1\n1,2\n3,x\n", "line 3: time column must be nondecreasing"),
+        ("1,2\n2,2\n-1,3\n", "line 3: count column must be strictly increasing"),
+        ("1,1\n2,inf\n1,3\n", "line 3: non-finite entry"),
+        ("1,1\n\n-1,2\n0,1\n", "line 4: negative time -1.0"),
+    ],
+)
+def test_csv_reports_first_bad_row_in_file_order(rows, message):
+    with pytest.raises(DataError) as info:
+        load_growth_curve_csv(io.StringIO("time,count\n" + rows))
+    assert str(info.value) == message
+
+
+def per_line_load(lines):
+    """The line-by-line format-A reader the vectorised one replaced."""
+    times: list[float] = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise DataError(f"line {lineno}: non-numeric failure time {line!r}") from None
+        if not np.isfinite(value):
+            raise DataError(f"line {lineno}: non-finite failure time {line!r}")
+        if value < 0:
+            raise DataError(f"line {lineno}: negative failure time {value}")
+        times.append(value)
+    if not times:
+        raise DataError("no failure times in input")
+    arr = np.asarray(times, dtype=float)
+    required_sorting = bool(np.any(np.diff(arr) < 0))
+    return (np.sort(arr) if required_sorting else arr), required_sorting
+
+
+format_a_lines = st.lists(
+    st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.floats(min_value=0, max_value=1e6).map(str),
+        st.sampled_from(
+            ["", "  ", "# note", "#", "nan", "-inf", "1.7e9", "1e200", "1e-320", "-0.0", " 3 ", "1,2", "x"]
+        ),
+        st.text(max_size=6),
+    ),
+    max_size=40,
+)
+
+
+def _outcome(load, lines):
+    try:
+        return load(lines)
+    except DataError as exc:
+        return str(exc)
+
+
+@given(format_a_lines, st.sampled_from([1, 3, 8192]))
+def test_load_matches_per_line_reader(lines, block_lines):
+    text = "\n".join(lines)
+    expected = _outcome(per_line_load, io.StringIO(text))
+    with mock.patch.object(dataset, "_BLOCK_LINES", block_lines):
+        got = _outcome(load_failure_times, io.StringIO(text))
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, FailureTimes)
+        assert np.array_equal(got.times, expected[0])
+        assert got.required_sorting == expected[1]
