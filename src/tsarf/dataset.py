@@ -10,7 +10,6 @@ Two on-disk formats are understood:
 from __future__ import annotations
 
 import csv
-import io
 import logging
 from dataclasses import dataclass
 from itertools import compress, islice
@@ -199,24 +198,17 @@ def read_curve_file(path: str | Path) -> tuple[GrowthCurve, dict]:
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        with path.open() as handle:
+            # only the lines up to the first data line are read to sniff it
+            first = next((s for line in handle if (s := line.strip()) and s[0] != "#"), "")
+            handle.seek(0)
+            if first.lower().replace(" ", "").startswith("time,count"):
+                curve, fmt, required_sorting = load_growth_curve_csv(handle), "curve", False
+            else:
+                ft = load_failure_times(handle)
+                curve, fmt, required_sorting = to_growth_curve(ft), "times", ft.required_sorting
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    first = ""
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            first = line
-            break
-    required_sorting = False
-    if first.lower().replace(" ", "").startswith("time,count"):
-        curve = load_growth_curve_csv(io.StringIO(text))
-        fmt = "curve"
-    else:
-        ft = load_failure_times(io.StringIO(text))
-        curve = to_growth_curve(ft)
-        fmt = "times"
-        required_sorting = ft.required_sorting
     meta = {
         "path": str(path),
         "format": fmt,

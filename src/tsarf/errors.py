@@ -18,7 +18,12 @@ class DataError(TsarfError):
 
 
 class RankDeficiencyError(DataError):
-    """Normal equations singular to tolerance; the fit is not identifiable."""
+    """Normal equations singular to tolerance; the fit is not identifiable.
+
+    ``index`` is the first failing system of a stacked fit, if known.
+    """
+
+    index: int | None = None
 
 
 class InsufficientDataError(DataError):

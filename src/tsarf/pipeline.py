@@ -130,22 +130,26 @@ def partition_windows(train: GrowthCurve, k: int) -> list[tuple[int, int]]:
 
 
 def fit_windows(train: GrowthCurve, windows: list[tuple[int, int]]) -> CoefficientHistory:
-    """Fit a line (raw time -> cumulative count) to every window."""
-    rows = []
-    for w, (start, stop) in enumerate(windows, start=1):
-        t = train.times[start:stop]
-        y = train.counts[start:stop]
-        try:
-            rows.append(ols_fit(design_matrix(t), y))
-        except RankDeficiencyError as exc:
-            raise DegenerateWindowError(
-                f"window {w} (points {start + 1}..{stop}) cannot support a line fit: {exc}"
-            ) from None
+    """Fit a line (raw time -> cumulative count) to every window in one call.
+
+    The windows are the consecutive equal blocks of ``partition_windows``, so
+    the training data reshapes to one (W, k) stack of designs.
+    """
+    start, stop, k = windows[0][0], windows[-1][1], windows[0][1] - windows[0][0]
+    t = train.times[start:stop].reshape(-1, k)
+    y = train.counts[start:stop].reshape(-1, k)
+    try:
+        matrix = ols_fit(design_matrix(t), y)
+    except RankDeficiencyError as exc:
+        w = exc.index
+        raise DegenerateWindowError(
+            f"window {w + 1} (points {windows[w][0] + 1}..{windows[w][1]}) cannot support a line fit: {exc}"
+        ) from None
     return CoefficientHistory(
-        matrix=np.vstack(rows),
-        k=windows[0][1] - windows[0][0],
+        matrix=matrix,
+        k=k,
         bounds=tuple(windows),
-        n_dropped=windows[0][0],
+        n_dropped=start,
     )
 
 

@@ -277,10 +277,13 @@ def simulate_nhpp(
             f"mean value at the horizon is {total:g}; intensity is degenerate"
         )
     rng = np.random.default_rng(seed)
-    count = int(rng.poisson(total))
+    try:
+        count = int(rng.poisson(total))
+        target = rng.uniform(size=count) * total
+    except ValueError:  # numpy refuses the mean or the array size before allocating
+        raise UsageError(f"expected failure count {total:g} is too large to simulate") from None
     if count == 0:
         return FailureTimes(np.empty(0))
-    target = rng.uniform(size=count) * total
     lo = np.zeros(count)
     hi = np.full(count, float(horizon))
     tol = 1e-9 * horizon

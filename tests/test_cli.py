@@ -127,6 +127,49 @@ def test_simulate_leaves_scipy_stats_and_optimize_unloaded(tmp_path):
     assert result.stdout.splitlines()[-1] == "0 False False"
 
 
+def test_compare_tsarf_loads_no_scipy_module(tmp_path, line_file):
+    code = (
+        "import sys, tsarf.cli; "
+        f"rc = tsarf.cli.main(['compare', {str(line_file)!r}, '--models', 'tsarf']); "
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = run_fresh("-c", code, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
+
+
+def test_compare_exact_line_at_tiny_time_scale(tmp_path, capsys):
+    path = tmp_path / "tiny.txt"
+    path.write_text("\n".join(repr(i * 1e-8) for i in range(1, 61)) + "\n")
+    report_path = tmp_path / "report.json"
+    rc = main(["compare", str(path), "--models", "tsarf",
+               "--output", str(report_path), "--curves", str(tmp_path / "curves.csv")])
+    assert rc == 0, capsys.readouterr().err
+    entry = json.loads(report_path.read_text())["models"][0]
+    assert entry["status"] == "ok"
+    assert entry["metrics"]["pmse"] < 1e-20
+
+
+@pytest.mark.parametrize("a", ["1e300", "1e19"])
+def test_simulate_huge_mean_is_one_line_usage_error(tmp_path, capsys, a):
+    rc = main(["simulate", "--kind", "go", "--a", a, "--b", "1", "--horizon", "1",
+               "--output", str(tmp_path / "sim.txt")])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: "), lines
+    assert not (tmp_path / "sim.txt").exists()
+
+
+def test_compare_undecodable_file_is_one_line_data_error(tmp_path, capsys):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"1.0\n2.0\n\xff\xfe\x00\n")
+    rc = main(["compare", str(path), "--models", "tsarf",
+               "--output", str(tmp_path / "r.json"), "--curves", str(tmp_path / "c.csv")])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: "), lines
+
+
 def test_poisson_band_equals_scipy_interval():
     from scipy.stats import poisson
 

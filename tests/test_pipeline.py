@@ -66,6 +66,16 @@ class TestFitWindows:
         with pytest.raises(DegenerateWindowError, match="window 1"):
             fit_windows(curve, partition_windows(curve, 6))
 
+    def test_duplicate_times_name_the_first_degenerate_window(self):
+        t = np.arange(20, dtype=float)
+        t[10:] = 10.0  # windows 3 and 4 hold one repeated time each
+        curve = GrowthCurve(t, np.arange(1, 21, dtype=float))
+        with pytest.raises(
+            DegenerateWindowError,
+            match=r"^window 3 \(points 11\.\.15\) cannot support a line fit: ",
+        ):
+            fit_windows(curve, partition_windows(curve, 5))
+
     def test_piecewise_slopes(self):
         t = np.arange(20, dtype=float)
         counts = np.where(t < 10, 1.0 + t, 11.0 + 3.0 * (t - 9.0))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsarf import RankDeficiencyError, UsageError, design_matrix, ols_fit
 
@@ -100,3 +102,66 @@ def test_exact_recovery():
 def test_rejects_non_finite():
     with pytest.raises(UsageError):
         ols_fit(np.array([[1.0, np.nan], [1.0, 2.0]]), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("columns", [1, 3])
+def test_design_without_two_columns_is_usage_error(columns):
+    X = np.random.default_rng(3).uniform(size=(8, columns))
+    with pytest.raises(UsageError, match="shape"):
+        ols_fit(X, np.arange(8.0))
+
+
+def test_singularity_rule_ignores_time_scale():
+    t = 1e-8 * np.arange(1.0, 6.0)
+    beta = ols_fit(design_matrix(t), 1e8 * t)
+    assert beta == pytest.approx([0.0, 1e8], rel=1e-9, abs=1e-9)
+
+
+def test_stacked_error_names_first_failing_system():
+    t = np.arange(20.0).reshape(4, 5)
+    t[2] = 7.0
+    t[3] = 9.0
+    with pytest.raises(RankDeficiencyError) as info:
+        ols_fit(design_matrix(t), np.arange(20.0).reshape(4, 5))
+    assert info.value.index == 2
+
+
+def loop_outcome(X, y):
+    """Per-window reference: every window fitted on its own, in order."""
+    rows = []
+    for w in range(len(X)):
+        try:
+            rows.append(ols_fit(X[w], y[w]))
+        except RankDeficiencyError as exc:
+            return w, str(exc)
+    return np.stack(rows)
+
+
+def stacked_outcome(X, y):
+    try:
+        return ols_fit(X, y)
+    except RankDeficiencyError as exc:
+        return exc.index, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(3, 50),
+    n_windows=st.integers(2, 40),
+    offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]) | st.floats(0, 1e6),
+    scale=st.floats(1e-6, 1e6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_fit_equals_per_window_loop_bitwise(k, n_windows, offset, scale, seed):
+    rng = np.random.default_rng(seed)
+    gaps = rng.exponential(size=n_windows * k) * (rng.uniform(size=n_windows * k) < 0.9)
+    t = (offset + scale * np.cumsum(gaps)).reshape(n_windows, k)
+    y = np.arange(1.0, n_windows * k + 1).reshape(n_windows, k) + rng.normal(size=(n_windows, k))
+    X = design_matrix(t)
+    for response in (y, np.stack([y, -3.0 * y], axis=-1)):
+        stacked, loop = stacked_outcome(X, response), loop_outcome(X, response)
+        if isinstance(loop, tuple):
+            assert stacked == loop
+        else:
+            assert stacked.dtype == loop.dtype and stacked.shape == loop.shape
+            assert np.array_equal(stacked, loop)
