@@ -37,6 +37,7 @@ from .report import (
     srgm_entry,
     tsarf_entry,
     write_curves_csv,
+    write_failure_times,
     write_report,
     write_sweep_csv,
 )
@@ -259,10 +260,11 @@ def cmd_simulate(args) -> int:
     params = SrgmParams(a=args.a, b=args.b, c=args.c)
     times = simulate_nhpp(kind, params, args.horizon, args.seed)
     path = _resolve_output(args.output)
-    with path.open("w") as handle:
-        handle.write(f"# simulated {kind.value} failure times\n")
-        handle.write(f"# a={args.a} b={args.b} c={args.c} horizon={args.horizon} seed={args.seed}\n")
-        handle.writelines(f"{t:.10g}\n" for t in times.times.tolist())
+    header = [
+        f"simulated {kind.value} failure times",
+        f"a={args.a} b={args.b} c={args.c} horizon={args.horizon} seed={args.seed}",
+    ]
+    write_failure_times(path, header, times.times)
 
     total = mvf(kind, params, args.horizon)
     lo, hi = _poisson_band(total)

@@ -116,12 +116,20 @@ def load_failure_times(source: TextIO | Iterable[str]) -> FailureTimes:
     blocks = []
     lines_before = 0
     source = iter(source)
-    while lines := [raw.strip() for raw in islice(source, _BLOCK_LINES)]:
-        is_data = [line != "" and line[0] != "#" for line in lines]
-        texts = list(compress(lines, is_data))
-        linenos = np.flatnonzero(is_data) + lines_before + 1
+    while lines := list(islice(source, _BLOCK_LINES)):
+        try:
+            # float() pads a numeral only with whitespace that str.strip()
+            # removes, so a block that parses whole holds data lines only
+            arr = np.fromiter(map(float, lines), float, len(lines))
+            texts, linenos = lines, np.arange(1, len(lines) + 1)
+        except ValueError:
+            lines = [raw.strip() for raw in lines]
+            is_data = [line != "" and line[0] != "#" for line in lines]
+            texts = list(compress(lines, is_data))
+            linenos = np.flatnonzero(is_data) + 1
+            arr = _parse_prefix(texts)
+        linenos += lines_before
         lines_before += len(lines)
-        arr = _parse_prefix(texts)
         # Parsing stops at the first non-numeric text, so a bad parsed value
         # always comes before it in the file.
         bad = np.flatnonzero(~np.isfinite(arr) | (arr < 0))
@@ -129,7 +137,7 @@ def load_failure_times(source: TextIO | Iterable[str]) -> FailureTimes:
             i = int(bad[0])
             problem = (
                 f"negative failure time {float(arr[i])}" if np.isfinite(arr[i])
-                else f"non-finite failure time {texts[i]!r}"
+                else f"non-finite failure time {texts[i].strip()!r}"
             )
             raise DataError(f"line {linenos[i]}: {problem}")
         if arr.size < len(texts):

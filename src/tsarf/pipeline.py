@@ -245,9 +245,10 @@ def predicted_line(model: TsarfModel, times) -> np.ndarray:
 
 def window_fitted_values(model: TsarfModel, train: GrowthCurve) -> np.ndarray:
     """Per-window fitted line evaluated over training; NaN for dropped points."""
+    history = model.history
     fitted = np.full(train.n, np.nan)
-    for (start, stop), (b0, b1) in zip(model.history.bounds, model.history.matrix):
-        fitted[start:stop] = b0 + b1 * train.times[start:stop]
+    t = train.times[history.n_dropped:].reshape(history.W, history.k)
+    fitted[history.n_dropped:] = (history.matrix[:, :1] + history.matrix[:, 1:] * t).ravel()
     return fitted
 
 

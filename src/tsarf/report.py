@@ -140,6 +140,18 @@ _CSV_BLOCK_ROWS = 8192
 
 
 def _csv_cells(values: np.ndarray) -> list[str]:
+    """``.10g`` text of every value.
+
+    When every value is an integer below 1e10 in magnitude, ``str(int)`` gives
+    the same text at about twice the speed; -0.0 is left to ``.10g``, which
+    prints it as ``-0``.
+    """
+    if (
+        (np.abs(values) < 1e10).all()
+        and (values == np.trunc(values)).all()
+        and not (np.signbit(values) & (values == 0)).any()
+    ):
+        return list(map(str, values.astype(np.int64).tolist()))
     return [f"{v:.10g}" for v in values.tolist()]
 
 
@@ -164,18 +176,29 @@ def write_curves_csv(
     comma or a quote, so cells are joined without quoting.
     """
     models = order_models(list(predictions))
-    partition = ["train"] * train_n + ["test"] * (len(times) - train_n)
     with open(path, "w", newline="") as handle:
         handle.write(",".join(["t", "actual", *models, "partition"]) + "\r\n")
         for start in range(0, len(times), _CSV_BLOCK_ROWS):
             block = slice(start, start + _CSV_BLOCK_ROWS)
+            rows = len(times[block])
+            n_train = min(max(train_n - start, 0), rows)
             columns = [
                 _csv_cells(times[block]),
                 _csv_cells(actual[block]),
                 *(_prediction_cells(predictions[model][block]) for model in models),
-                partition[block],
+                ["train"] * n_train + ["test"] * (rows - n_train),
             ]
-            handle.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+            handle.write("\r\n".join(map(",".join, zip(*columns))))
+            handle.write("\r\n")
+
+
+def write_failure_times(path: str | Path, header: list[str], times: np.ndarray) -> None:
+    """Emit a format-A file: ``# `` header lines, then one ``.10g`` time per line."""
+    with open(path, "w") as handle:
+        handle.writelines(f"# {line}\n" for line in header)
+        for start in range(0, len(times), _CSV_BLOCK_ROWS):
+            handle.write("\n".join(_csv_cells(times[start:start + _CSV_BLOCK_ROWS])))
+            handle.write("\n")
 
 
 def write_sweep_csv(

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -158,6 +160,29 @@ def test_simulate_huge_mean_is_one_line_usage_error(tmp_path, capsys, a):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error: "), lines
     assert not (tmp_path / "sim.txt").exists()
+
+
+@pytest.mark.parametrize("horizon", ["inf", "nan"])
+def test_simulate_non_finite_horizon_is_one_line_usage_error(tmp_path, capsys, horizon):
+    rc = main(["simulate", "--kind", "go", "--a", "5", "--b", "1", "--horizon", horizon,
+               "--output", str(tmp_path / "sim.txt")])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"usage error: horizon must be positive and finite, got {horizon}"]
+    assert not (tmp_path / "sim.txt").exists()
+
+
+def test_simulate_and_compare_golden_bytes(tmp_path, capsys):
+    sim, curves = tmp_path / "sim.txt", tmp_path / "curves.csv"
+    assert main(["simulate", "--kind", "go", "--a", "3000", "--b", "0.004", "--horizon", "600",
+                 "--seed", "11", "--output", str(sim)]) == 0
+    assert main(["compare", str(sim), "--models", "tsarf", "--output", str(tmp_path / "report.json"),
+                 "--curves", str(curves)]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (sim, curves)}
+    assert digests == {
+        "sim.txt": "18ef6028287952589936b9ed7e12bef0d0601a582fc5ca72ed456bf0194cbae5",
+        "curves.csv": "ee3b22e8f4332469903dbbba4f0aee992169132b56f415542e4cad9955b7091a",
+    }
 
 
 def test_compare_undecodable_file_is_one_line_data_error(tmp_path, capsys):
@@ -352,26 +377,36 @@ def per_row_curves_csv(path, times, actual, predictions, train_n):
 
 
 cell_values = st.floats(allow_nan=True, allow_infinity=True, width=64)
+#: Integral cells, with the edges of the ``str(int)`` shortcut: -0.0 prints as
+#: ``-0`` and 1e10 switches ``.10g`` to an exponent.
+integral_values = st.one_of(
+    st.sampled_from([0.0, -0.0, -7.0, 9_999_999_999.0, -9_999_999_999.0, 1e10, 2.0**53, 1e300]),
+    st.integers(-(10**11), 10**11).map(float),
+)
 
 
-@settings(max_examples=60)
+@settings(max_examples=80)
 @given(
     st.integers(0, 30).flatmap(
         lambda n: st.tuples(
             st.lists(cell_values, min_size=n, max_size=n),
+            st.sampled_from([integral_values, st.one_of(integral_values, cell_values)]).flatmap(
+                lambda values: st.lists(values, min_size=n, max_size=n)
+            ),
             st.lists(st.tuples(cell_values, cell_values, cell_values), min_size=n, max_size=n),
             st.integers(0, n),
             st.sets(st.sampled_from(["go", "weibull", "tsarf", "dss"]), min_size=1),
         )
-    )
+    ),
+    st.sampled_from([4, 8192]),
 )
-def test_curves_csv_matches_csv_writer_bytes(case):
-    times, preds, train_n, models = case
+def test_curves_csv_matches_csv_writer_bytes(case, block_rows):
+    times, actual, preds, train_n, models = case
     times = np.asarray(times, dtype=float)
+    actual = np.asarray(actual, dtype=float)
     columns = np.asarray(preds, dtype=float).reshape(-1, 3)
     predictions = {m: columns[:, i % 3] for i, m in enumerate(sorted(models))}
-    actual = np.arange(1.0, times.size + 1)
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, mock.patch("tsarf.report._CSV_BLOCK_ROWS", block_rows):
         got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
         write_curves_csv(got, times, actual, predictions, train_n)
         per_row_curves_csv(want, times, actual, predictions, train_n)

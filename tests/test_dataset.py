@@ -230,10 +230,19 @@ def per_line_load(lines):
     return (np.sort(arr) if required_sorting else arr), required_sorting
 
 
+#: Characters ``str.strip`` removes; ``float`` accepts only some of them as padding.
+PADDING = ["\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003", "\u3000"]
+
+numerals = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.floats(min_value=0, max_value=1e6).map(str),
+    st.sampled_from(["1_0", "+1e3"]),
+)
+
 format_a_lines = st.lists(
     st.one_of(
-        st.floats(allow_nan=True, allow_infinity=True).map(repr),
-        st.floats(min_value=0, max_value=1e6).map(str),
+        numerals,
+        st.tuples(st.sampled_from(PADDING), numerals, st.sampled_from(["", *PADDING])).map("".join),
         st.sampled_from(
             ["", "  ", "# note", "#", "nan", "-inf", "1.7e9", "1e200", "1e-320", "-0.0", " 3 ", "1,2", "x"]
         ),
@@ -250,9 +259,9 @@ def _outcome(load, lines):
         return str(exc)
 
 
-@given(format_a_lines, st.sampled_from([1, 3, 8192]))
-def test_load_matches_per_line_reader(lines, block_lines):
-    text = "\n".join(lines)
+@given(format_a_lines, st.sampled_from([1, 2, 3, 8192]), st.sampled_from(["\n", "\r\n"]))
+def test_load_matches_per_line_reader(lines, block_lines, ending):
+    text = ending.join(lines)
     expected = _outcome(per_line_load, io.StringIO(text))
     with mock.patch.object(dataset, "_BLOCK_LINES", block_lines):
         got = _outcome(load_failure_times, io.StringIO(text))

@@ -290,6 +290,17 @@ class TestForecastEndToEnd:
         assert np.isnan(fitted[:2]).all()
         assert fitted[2:] == pytest.approx(curve.counts[2:], abs=1e-9)
 
+    @pytest.mark.parametrize(("n", "k"), [(22, 5), (157, 10), (3002, 3), (4500, 3)])
+    def test_window_fitted_values_equal_per_window_loop_bitwise(self, n, k):
+        curve = make_changepoint_curve(np.random.default_rng(n), n=n)
+        model = tsarf_forecast(curve, TsarfConfig(k=k, d=1))
+        # the per-window loop the reshape replaced
+        expected = np.full(n, np.nan)
+        for (start, stop), (b0, b1) in zip(model.history.bounds, model.history.matrix):
+            expected[start:stop] = b0 + b1 * curve.times[start:stop]
+        assert model.history.n_dropped == n % k
+        assert window_fitted_values(model, curve).tobytes() == expected.tobytes()
+
     def test_beats_single_curve_on_changepoint_data(self):
         from tsarf import SrgmKind, fit_srgm, srgm_predict
 

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_changepoint_curve
 from tsarf import (
@@ -227,6 +229,27 @@ class TestPredict:
             srgm_predict(fit, [1.0])
 
 
+def unsorted_bisection(kind, params, horizon, seed):
+    """The simulator as it was before its targets were sorted."""
+    total = mvf(kind, params, horizon)
+    if total <= 1e-12:
+        raise DegenerateDataError("degenerate intensity")
+    rng = np.random.default_rng(seed)
+    count = int(rng.poisson(total))
+    target = rng.uniform(size=count) * total
+    if count == 0:
+        return np.empty(0)
+    lo = np.zeros(count)
+    hi = np.full(count, float(horizon))
+    tol = 1e-9 * horizon
+    while np.max(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        below = mvf(kind, params, mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return np.sort(0.5 * (lo + hi))
+
+
 class TestSimulate:
     params = SrgmParams(a=60.0, b=0.04)
 
@@ -257,6 +280,26 @@ class TestSimulate:
     def test_invalid_horizon(self):
         with pytest.raises(UsageError):
             simulate_nhpp(SrgmKind.GO, self.params, horizon=0.0, seed=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(list(SrgmKind)),
+        st.integers(0, 2**32),
+        st.floats(-2.0, 5.0).map(lambda e: 10.0**e),
+        st.floats(-6.0, 1.0).map(lambda e: 10.0**e),
+        st.floats(0.3, 3.0),
+        st.one_of(st.sampled_from([333.3, 1e-3, 7e6]), st.floats(1e-3, 1e4)),
+    )
+    def test_sorted_targets_give_the_unsorted_bisection_bitwise(self, kind, seed, a, b, c, horizon):
+        params = SrgmParams(a=a, b=b, c=c)
+        try:
+            expected = unsorted_bisection(kind, params, horizon, seed)
+        except DegenerateDataError:
+            with pytest.raises(DegenerateDataError):
+                simulate_nhpp(kind, params, horizon, seed)
+            return
+        got = simulate_nhpp(kind, params, horizon, seed).times
+        assert got.tobytes() == expected.tobytes()
 
     def test_event_time_distribution_tracks_mvf(self):
         # empirical CDF at the horizon midpoint vs mvf ratio, pooled over seeds
