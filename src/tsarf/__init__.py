@@ -42,7 +42,6 @@ from .pipeline import (
     error_correct,
     fit_windows,
     forecast_coefficients,
-    partition_windows,
     predicted_line,
     select_ma_length,
     tsarf_forecast,
@@ -89,7 +88,6 @@ __all__ = [
     "CoefficientHistory",
     "StageTwoFit",
     "auto_window_size",
-    "partition_windows",
     "fit_windows",
     "forecast_coefficients",
     "error_correct",

@@ -99,7 +99,7 @@ def _resolve_output(path: str | Path) -> Path:
     return path
 
 
-def _resolve_split(curve: GrowthCurve, args) -> SplitCurve:
+def _resolve_split(curve: GrowthCurve, args, k: int | None) -> SplitCurve:
     n = curve.n
     if args.test_len is not None:
         return split(curve, args.test_len)
@@ -109,7 +109,6 @@ def _resolve_split(curve: GrowthCurve, args) -> SplitCurve:
         test_len = min(max(int(args.test_fraction * n), 1), n - 1)
         parts = split(curve, test_len)
         return SplitCurve(parts.train, parts.test, f"fraction={args.test_fraction} (test_len={test_len})")
-    k = _parse_auto_int(args.window_size, "window size", 3) if hasattr(args, "window_size") else None
     if k is not None:
         parts = split(curve, k)
         return SplitCurve(parts.train, parts.test, f"test_len=k={k}")
@@ -119,7 +118,7 @@ def _resolve_split(curve: GrowthCurve, args) -> SplitCurve:
 
 
 def _run_models(
-    parts: SplitCurve, models: list[str], k: int | None, d: int | None, blend_weight: float
+    parts: SplitCurve, models: list[str], k: int | None, d: int | None
 ) -> tuple[list[MetricsReport], dict[str, str], list[dict], dict[str, np.ndarray]]:
     """Fit each model on train, score on test, build curve columns."""
     all_times = np.concatenate([parts.train.times, parts.test.times])
@@ -132,7 +131,7 @@ def _run_models(
         entry: dict = {"model": name}
         try:
             if name == "tsarf":
-                model = tsarf_forecast(parts.train, TsarfConfig(k=k, d=d, blend_weight=blend_weight))
+                model = tsarf_forecast(parts.train, TsarfConfig(k=k, d=d))
                 pred_test = predicted_line(model, parts.test.times)
                 predictions[name] = np.concatenate(
                     [window_fitted_values(model, parts.train), pred_test]
@@ -169,14 +168,12 @@ def _write_run_report(meta: dict, parts: SplitCurve, entries: list[dict], output
 
 def cmd_compare(args) -> int:
     curve, meta = read_curve_file(args.input)
-    parts = _resolve_split(curve, args)
-    models = _parse_models(args.models)
     k = _parse_auto_int(args.window_size, "window size", 3)
+    parts = _resolve_split(curve, args, k)
+    models = _parse_models(args.models)
     d = _parse_auto_int(args.ma, "moving-average length", 1)
 
-    reports, failed, entries, predictions = _run_models(
-        parts, models, k, d, args.blend_weight
-    )
+    reports, failed, entries, predictions = _run_models(parts, models, k, d)
     _write_run_report(meta, parts, entries, args.output)
     write_curves_csv(
         _resolve_output(args.curves),
@@ -191,18 +188,11 @@ def cmd_compare(args) -> int:
     return 3 if failed else 0
 
 
-def _sweep_cell(curve: GrowthCurve, args, param: str, value: int) -> float:
-    """Test PMSE of one sweep cell; the other knob follows its default policy."""
-    split_args = argparse.Namespace(**vars(args))
-    if param == "window":
-        k: int | None = value
-        d = _parse_auto_int(args.ma, "moving-average length", 1)
-        split_args.window_size = str(value)  # default split tracks the swept window
-    else:
-        k = _parse_auto_int(args.window_size, "window size", 3)
-        d = value
-    parts = _resolve_split(curve, split_args)
-    model = tsarf_forecast(parts.train, TsarfConfig(k=k, d=d, blend_weight=args.blend_weight))
+def _sweep_cell(curve: GrowthCurve, args, k: int | None, d: int | None) -> float:
+    """Test PMSE of one sweep cell; the default split tracks its window size."""
+    config = TsarfConfig(k=k, d=d)  # rejects k < 3 before the split uses it
+    parts = _resolve_split(curve, args, k)
+    model = tsarf_forecast(parts.train, config)
     report = evaluate_model("tsarf", predicted_line(model, parts.test.times), parts.test.counts)
     assert report.pmse is not None
     return report.pmse
@@ -215,13 +205,16 @@ def cmd_sweep(args) -> int:
         curve, _ = read_curve_file(path)
         datasets.append((Path(path).stem, curve))
     names = [name for name, _ in datasets]
+    k = _parse_auto_int(args.window_size, "window size", 3)
+    d = _parse_auto_int(args.ma, "moving-average length", 1)
 
     rows: list[tuple[int, dict[str, float | None]]] = []
     for value in values:
+        cell = (value, d) if args.param == "window" else (k, value)
         cells: dict[str, float | None] = {}
         for name, curve in datasets:
             try:
-                cells[name] = _sweep_cell(curve, args, args.param, value)
+                cells[name] = _sweep_cell(curve, args, *cell)
             except TsarfError as exc:
                 cells[name] = None
                 print(f"warning: {args.param}={value} on {name}: {exc}", file=sys.stderr)
@@ -281,11 +274,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_fit(args) -> int:
     curve, meta = read_curve_file(args.input)
-    parts = _resolve_split(curve, args)
     k = _parse_auto_int(args.window_size, "window size", 3)
+    parts = _resolve_split(curve, args, k)
     d = _parse_auto_int(args.ma, "moving-average length", 1)
 
-    reports, failed, entries, _ = _run_models(parts, [args.model], k, d, args.blend_weight)
+    reports, failed, entries, _ = _run_models(parts, [args.model], k, d)
     _write_run_report(meta, parts, entries, args.output)
 
     entry = entries[0]
@@ -322,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_model_options(p):
         p.add_argument("--window-size", default="auto", help="points per window, or 'auto' (10%% of training)")
         p.add_argument("--ma", default="auto", help="moving-average length, or 'auto' (least holdout MSE)")
-        p.add_argument("--blend-weight", type=float, default=0.5, help="final blend weight (default 0.5)")
 
     p = sub.add_parser("compare", help="fit several models and score them on the test partition")
     p.add_argument("input", help="failure-times file (format A) or time,count CSV (format B)")

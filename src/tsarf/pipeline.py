@@ -15,7 +15,7 @@ dropped, so the final window always ends at the training boundary.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,31 +42,27 @@ class TsarfConfig:
 
     k: points per window (>= 3). Auto: max(3, train_n // 10).
     d: moving-average length (1 <= d <= W - 1). Auto: least holdout MSE.
-    blend_weight: weight applied to both the corrected forecast and the
-        moving-average term in the final blend.
     """
 
     k: int | None = None
     d: int | None = None
-    blend_weight: float = 0.5
 
     def __post_init__(self) -> None:
         if self.k is not None and self.k < 3:
             raise UsageError(f"window size k must be >= 3, got {self.k}")
         if self.d is not None and self.d < 1:
             raise UsageError(f"moving-average length d must be >= 1, got {self.d}")
-        if not np.isfinite(self.blend_weight) or self.blend_weight <= 0:
-            raise UsageError(f"blend weight must be positive and finite, got {self.blend_weight}")
 
 
 @dataclass(frozen=True)
 class CoefficientHistory:
-    """Per-window line coefficients: row w holds (intercept, slope) of window w."""
+    """Per-window line coefficients: row w holds (intercept, slope) of window w,
+    which covers training indices n_dropped + w*k up to, not including,
+    n_dropped + (w+1)*k."""
 
     matrix: np.ndarray
     k: int
-    bounds: tuple[tuple[int, int], ...]  # (start, stop) index pairs into training
-    n_dropped: int = 0
+    n_dropped: int
 
     @property
     def W(self) -> int:
@@ -74,12 +70,7 @@ class CoefficientHistory:
 
     def drop_last(self) -> "CoefficientHistory":
         """History restricted to the first W - 1 windows."""
-        return CoefficientHistory(
-            matrix=self.matrix[:-1],
-            k=self.k,
-            bounds=self.bounds[:-1],
-            n_dropped=self.n_dropped,
-        )
+        return replace(self, matrix=self.matrix[:-1])
 
 
 @dataclass(frozen=True)
@@ -107,15 +98,16 @@ class TsarfModel:
     d_used: int
     d_auto: bool
     d_fallback: bool = False
-    blend_weight: float = 0.5
     ma_candidates: tuple[tuple[int, float], ...] = field(default=())
 
 
-def partition_windows(train: GrowthCurve, k: int) -> list[tuple[int, int]]:
-    """Non-overlapping blocks of exactly k points, aligned to the training end.
+def fit_windows(train: GrowthCurve, k: int) -> CoefficientHistory:
+    """Fit a line (raw time -> cumulative count) to every window in one call.
 
-    The first train.n - W*k points are dropped so the last window ends at the
-    last training point. Requires at least two full windows.
+    The windows are non-overlapping blocks of exactly k points, aligned to the
+    training end: the first train.n % k points are dropped so the last window
+    ends at the last training point, and the rest reshapes to one (W, k)
+    stack of designs. Requires at least two full windows.
     """
     if k < 3:
         raise UsageError(f"window size k must be >= 3, got {k}")
@@ -124,33 +116,17 @@ def partition_windows(train: GrowthCurve, k: int) -> list[tuple[int, int]]:
         raise InsufficientDataError(
             f"need at least {2 * k} training points for window size {k}, have {n}"
         )
-    n_windows = n // k
-    offset = n - n_windows * k
-    return [(offset + w * k, offset + (w + 1) * k) for w in range(n_windows)]
-
-
-def fit_windows(train: GrowthCurve, windows: list[tuple[int, int]]) -> CoefficientHistory:
-    """Fit a line (raw time -> cumulative count) to every window in one call.
-
-    The windows are the consecutive equal blocks of ``partition_windows``, so
-    the training data reshapes to one (W, k) stack of designs.
-    """
-    start, stop, k = windows[0][0], windows[-1][1], windows[0][1] - windows[0][0]
-    t = train.times[start:stop].reshape(-1, k)
-    y = train.counts[start:stop].reshape(-1, k)
+    n_dropped = n % k
+    t = train.times[n_dropped:].reshape(-1, k)
+    y = train.counts[n_dropped:].reshape(-1, k)
     try:
         matrix = ols_fit(design_matrix(t), y)
     except RankDeficiencyError as exc:
-        w = exc.index
+        start = n_dropped + exc.index * k
         raise DegenerateWindowError(
-            f"window {w + 1} (points {windows[w][0] + 1}..{windows[w][1]}) cannot support a line fit: {exc}"
+            f"window {exc.index + 1} (points {start + 1}..{start + k}) cannot support a line fit: {exc}"
         ) from None
-    return CoefficientHistory(
-        matrix=matrix,
-        k=k,
-        bounds=tuple(windows),
-        n_dropped=start,
-    )
+    return CoefficientHistory(matrix=matrix, k=k, n_dropped=n_dropped)
 
 
 def forecast_coefficients(history: CoefficientHistory) -> tuple[StageTwoFit, np.ndarray]:
@@ -181,27 +157,21 @@ def error_correct(
     return raw + epsilon, epsilon
 
 
-def apply_moving_average(
-    corrected: np.ndarray,
-    history: CoefficientHistory,
-    d: int,
-    blend_weight: float = 0.5,
-) -> np.ndarray:
-    """Blend the corrected forecast with the mean of the d window coefficient
-    rows immediately before the last window."""
+def apply_moving_average(corrected: np.ndarray, history: CoefficientHistory, d: int) -> np.ndarray:
+    """Blend the corrected forecast 50/50 with the mean of the d window
+    coefficient rows immediately before the last window."""
     n_windows = history.W
     if not 1 <= d <= n_windows - 1:
         raise UsageError(
             f"moving-average length d must be in 1..{n_windows - 1}, got {d}"
         )
     ma = history.matrix[n_windows - 1 - d: n_windows - 1].mean(axis=0)
-    return blend_weight * (corrected + ma)
+    return 0.5 * (corrected + ma)
 
 
 def select_ma_length(
     history: CoefficientHistory,
     train: GrowthCurve,
-    blend_weight: float = 0.5,
 ) -> tuple[int, tuple[tuple[int, float], ...], bool]:
     """Pick the moving-average length with the least holdout MSE.
 
@@ -221,16 +191,15 @@ def select_ma_length(
         return 1, (), True
 
     sub = history.drop_last()
-    start, stop = history.bounds[-1]
-    t_hold = train.times[start:stop]
-    y_hold = train.counts[start:stop]
+    t_hold = train.times[-history.k:]
+    y_hold = train.counts[-history.k:]
 
     stage2, raw = forecast_coefficients(sub)
     corrected, _ = error_correct(raw, stage2, sub)
     lengths = np.arange(1, n_windows - 1)
     # row d-1 of ma: mean of the d rows before the last row of sub
     ma = np.cumsum(sub.matrix[-2::-1], axis=0) / lengths[:, None]
-    coeffs = blend_weight * (corrected + ma)
+    coeffs = 0.5 * (corrected + ma)
     pred = coeffs[:, :1] + coeffs[:, 1:] * t_hold
     mses = np.mean((pred - y_hold) ** 2, axis=1)
     candidates = tuple(zip(lengths.tolist(), mses.tolist()))
@@ -256,11 +225,10 @@ def tsarf_forecast(train: GrowthCurve, config: TsarfConfig | None = None) -> Tsa
     """Run the full three-stage pipeline on a training curve."""
     config = config or TsarfConfig()
     k = config.k if config.k is not None else auto_window_size(train.n)
-    windows = partition_windows(train, k)
-    history = fit_windows(train, windows)
+    history = fit_windows(train, k)
 
     if config.d is None:
-        d, candidates, fallback = select_ma_length(history, train, config.blend_weight)
+        d, candidates, fallback = select_ma_length(history, train)
         d_auto = True
     else:
         d, candidates, fallback = config.d, (), False
@@ -268,7 +236,7 @@ def tsarf_forecast(train: GrowthCurve, config: TsarfConfig | None = None) -> Tsa
 
     stage2, raw = forecast_coefficients(history)
     corrected, epsilon = error_correct(raw, stage2, history)
-    final = apply_moving_average(corrected, history, d, config.blend_weight)
+    final = apply_moving_average(corrected, history, d)
     return TsarfModel(
         coefficients=final,
         raw_forecast=raw,
@@ -280,6 +248,5 @@ def tsarf_forecast(train: GrowthCurve, config: TsarfConfig | None = None) -> Tsa
         d_used=d,
         d_auto=d_auto,
         d_fallback=fallback,
-        blend_weight=config.blend_weight,
         ma_candidates=candidates,
     )

@@ -38,7 +38,6 @@ class RunReport:
     split: dict
     models: list[dict] = field(default_factory=list)
     version: str = ""
-    seed: int | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -50,7 +49,6 @@ class RunReport:
             split=payload["split"],
             models=payload["models"],
             version=payload.get("version", ""),
-            seed=payload.get("seed"),
         )
 
 
@@ -71,7 +69,6 @@ def tsarf_entry(model: TsarfModel) -> dict:
         "d": model.d_used,
         "d_auto": model.d_auto,
         "d_fallback": model.d_fallback,
-        "blend_weight": model.blend_weight,
         "windows": model.history.W,
         "points_dropped": model.history.n_dropped,
         "coefficients": model.coefficients.tolist(),
@@ -90,7 +87,6 @@ def srgm_entry(fit: SrgmFit) -> dict:
         "a": fit.params.a,
         "b": fit.params.b,
         "sse": fit.sse,
-        "converged": fit.converged,
         "iterations": fit.iterations,
         "restarts": fit.restarts,
     }

@@ -75,10 +75,11 @@ class SrgmParams:
 
 @dataclass(frozen=True)
 class SrgmFit:
+    """A successful fit; ``fit_srgm`` raises rather than return a failed one."""
+
     kind: SrgmKind
     params: SrgmParams
     sse: float
-    converged: bool
     iterations: int
     restarts: int
 
@@ -247,16 +248,13 @@ def fit_srgm(train: GrowthCurve, kind: SrgmKind) -> SrgmFit:
         kind=kind,
         params=params,
         sse=float(sse[best]),
-        converged=True,
         iterations=int(nit[best]),
         restarts=len(starts),
     )
 
 
 def srgm_predict(fit: SrgmFit, times) -> np.ndarray:
-    """Mean value function of a converged fit at the requested times."""
-    if not fit.converged:
-        raise UsageError("cannot predict from a non-converged fit")
+    """Mean value function of a fit at the requested times."""
     return mvf(fit.kind, fit.params, np.asarray(times, dtype=float))
 
 
@@ -296,7 +294,7 @@ def simulate_nhpp(
     tol = 1e-9 * horizon
     while np.max(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
-        below = mvf(kind, params, mid) < target
+        below = _mvf(kind, params.a, params.b, params.c, mid) < target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return FailureTimes(np.sort(0.5 * (lo + hi)))

@@ -252,8 +252,12 @@ def test_compare_bad_test_len_exits_1(line_file, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_compare_unknown_model_exits_1(line_file):
-    assert main(["compare", str(line_file), "--models", "tsarf,arima"]) == 1
+def test_compare_unknown_model_exits_1(line_file, capsys):
+    # the stage-3 blend is fixed at 50/50, so no option sets its weight
+    for extra in (["--models", "tsarf,arima"], ["--blend-weight", "0.5"]):
+        assert main(["compare", str(line_file), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 def test_compare_reads_csv_curves(tmp_path, capsys):
@@ -329,6 +333,33 @@ def test_report_roundtrip(tmp_path, line_file):
     report = read_report(report_path)
     assert report.split["train_n"] + report.split["test_n"] == 40
     assert report.models[0]["model"] == "tsarf"
+
+
+def test_compare_report_keys_match_readme_schema(tmp_path, go_file):
+    """The keys listed under "Run report schema" in the README."""
+    report_path = tmp_path / "r.json"
+    argv = ["compare", str(go_file), "--output", str(report_path), "--curves", str(tmp_path / "c.csv")]
+    assert main(argv) == 0
+    payload = json.loads(report_path.read_text())
+    assert set(payload) == {"dataset", "split", "models", "version"}
+    assert set(payload["dataset"]) == {"path", "format", "n", "required_sorting"}
+    assert set(payload["split"]) == {"train_n", "test_n", "policy"}
+    assert [entry["model"] for entry in payload["models"]] == ["tsarf", "dss", "go", "weibull"]
+    srgm_keys = {"a", "b", "sse", "iterations", "restarts"}
+    for entry in payload["models"]:
+        detail = "tsarf" if entry["model"] == "tsarf" else "srgm"
+        assert set(entry) == {"model", "status", "metrics", detail}
+        assert entry["status"] == "ok"
+        assert set(entry["metrics"]) == {"pmse", "prr", "pp", "n_test", "notes"}
+        if entry["model"] == "tsarf":
+            assert set(entry["tsarf"]) == {
+                "k", "d", "d_auto", "d_fallback", "windows", "points_dropped",
+                "coefficients", "raw_forecast", "corrected_forecast", "epsilon",
+                "coefficient_history", "stage2_trend", "ma_candidates",
+            }
+        else:
+            weibull = {"c"} if entry["model"] == "weibull" else set()
+            assert set(entry["srgm"]) == srgm_keys | weibull
 
 
 def test_reports_deterministic(tmp_path, go_file):
@@ -553,6 +584,13 @@ def test_fit_tsarf_prints_line(tmp_path, line_file, capsys):
     )
     assert rc == 0
     assert "predicted line" in capsys.readouterr().out
+    # with no test length given, the test partition is one window
+    split = json.loads((tmp_path / "fit.json").read_text())["split"]
+    assert (split["test_n"], split["policy"]) == (5, "test_len=k=5")
+
+
+def test_every_public_name_resolves():
+    assert [name for name in tsarf.__all__ if not hasattr(tsarf, name)] == []
 
 
 def test_version_flag(capsys):

@@ -16,7 +16,6 @@ from tsarf import (
     error_correct,
     fit_windows,
     forecast_coefficients,
-    partition_windows,
     pmse,
     predicted_line,
     select_ma_length,
@@ -29,34 +28,33 @@ from conftest import make_changepoint_curve
 
 def make_history(matrix, k=3):
     """Coefficient history with placeholder window bookkeeping."""
-    matrix = np.asarray(matrix, dtype=float)
-    n_windows = matrix.shape[0]
-    bounds = tuple((w * k, (w + 1) * k) for w in range(n_windows))
-    return CoefficientHistory(matrix=matrix, k=k, bounds=bounds)
+    return CoefficientHistory(matrix=np.asarray(matrix, dtype=float), k=k, n_dropped=0)
 
 
 class TestPartitionWindows:
+    """fit_windows' split of training into blocks of k points ending at its end."""
+
     def test_exact_division(self, line_curve):
-        windows = partition_windows(line_curve(20), 5)
-        assert windows == [(0, 5), (5, 10), (10, 15), (15, 20)]
+        history = fit_windows(line_curve(20), 5)
+        assert (history.W, history.k, history.n_dropped) == (4, 5, 0)
 
     def test_remainder_drops_oldest(self, line_curve):
-        windows = partition_windows(line_curve(22), 5)
-        assert windows == [(2, 7), (7, 12), (12, 17), (17, 22)]
+        history = fit_windows(line_curve(22), 5)
+        assert (history.W, history.k, history.n_dropped) == (4, 5, 2)
 
     def test_single_window_is_insufficient(self, line_curve):
         with pytest.raises(InsufficientDataError):
-            partition_windows(line_curve(9), 5)
+            fit_windows(line_curve(9), 5)
 
     def test_small_k_rejected(self, line_curve):
         with pytest.raises(UsageError):
-            partition_windows(line_curve(20), 2)
+            fit_windows(line_curve(20), 2)
 
 
 class TestFitWindows:
     def test_exact_line_fixed_point(self, line_curve):
         curve = line_curve(20)
-        history = fit_windows(curve, partition_windows(curve, 5))
+        history = fit_windows(curve, 5)
         assert history.matrix == pytest.approx(np.tile([1.0, 2.0], (4, 1)), abs=1e-10)
         assert history.W == 4
         assert history.k == 5
@@ -64,23 +62,25 @@ class TestFitWindows:
     def test_identical_timestamps_degenerate(self):
         curve = GrowthCurve(np.repeat(3.0, 12), np.arange(1, 13, dtype=float))
         with pytest.raises(DegenerateWindowError, match="window 1"):
-            fit_windows(curve, partition_windows(curve, 6))
+            fit_windows(curve, 6)
 
     def test_duplicate_times_name_the_first_degenerate_window(self):
-        t = np.arange(20, dtype=float)
-        t[10:] = 10.0  # windows 3 and 4 hold one repeated time each
-        curve = GrowthCurve(t, np.arange(1, 21, dtype=float))
-        with pytest.raises(
-            DegenerateWindowError,
-            match=r"^window 3 \(points 11\.\.15\) cannot support a line fit: ",
-        ):
-            fit_windows(curve, partition_windows(curve, 5))
+        # n = 22 drops the first 2 points, so window 3 starts 2 points later
+        for n, points in ((20, r"11\.\.15"), (22, r"13\.\.17")):
+            t = np.arange(n, dtype=float)
+            t[n - 10:] = n - 10.0  # windows 3 and 4 hold one repeated time each
+            curve = GrowthCurve(t, np.arange(1, n + 1, dtype=float))
+            with pytest.raises(
+                DegenerateWindowError,
+                match=rf"^window 3 \(points {points}\) cannot support a line fit: ",
+            ):
+                fit_windows(curve, 5)
 
     def test_piecewise_slopes(self):
         t = np.arange(20, dtype=float)
         counts = np.where(t < 10, 1.0 + t, 11.0 + 3.0 * (t - 9.0))
         curve = GrowthCurve(t, counts)
-        history = fit_windows(curve, partition_windows(curve, 5))
+        history = fit_windows(curve, 5)
         assert history.matrix[:, 1] == pytest.approx([1.0, 1.0, 3.0, 3.0], abs=1e-10)
 
 
@@ -183,12 +183,13 @@ class TestMovingAverage:
         assert blended[0] == pytest.approx(0.5 * ((20.0 + 30.0) / 2.0), abs=1e-12)
 
 
-def exhaustive_best_d(history, train, blend=0.5):
+def exhaustive_best_d(history, train):
     """Independent recomputation of the holdout search using np.polyfit."""
     n_windows = history.W
     sub = history.matrix[:-1]
     idx = np.arange(1, n_windows, dtype=float)
-    start, stop = history.bounds[-1]
+    start = history.n_dropped + (n_windows - 1) * history.k
+    stop = start + history.k
     t_hold, y_hold = train.times[start:stop], train.counts[start:stop]
     mses = []
     for d in range(1, n_windows - 1):
@@ -199,7 +200,7 @@ def exhaustive_best_d(history, train, blend=0.5):
             raw = intercept + n_windows * slope
             eps = col[-1] - (intercept + (n_windows - 1) * slope)
             ma = col[len(col) - 1 - d : len(col) - 1].mean()
-            line.append(blend * (raw + eps + ma))
+            line.append(0.5 * (raw + eps + ma))
         mses.append(float(np.mean((line[0] + line[1] * t_hold - y_hold) ** 2)))
     best = int(np.argmin(mses)) + 1
     return best, mses
@@ -208,7 +209,7 @@ def exhaustive_best_d(history, train, blend=0.5):
 class TestSelectMaLength:
     def test_constant_history_ties_to_one(self, line_curve):
         curve = line_curve(25)
-        history = fit_windows(curve, partition_windows(curve, 5))
+        history = fit_windows(curve, 5)
         d, candidates, fallback = select_ma_length(history, curve)
         assert d == 1
         assert not fallback
@@ -216,20 +217,20 @@ class TestSelectMaLength:
 
     def test_three_windows_yield_singleton(self, line_curve):
         curve = line_curve(15)
-        history = fit_windows(curve, partition_windows(curve, 5))
+        history = fit_windows(curve, 5)
         d, candidates, _ = select_ma_length(history, curve)
         assert d == 1
         assert len(candidates) == 1
 
     def test_two_windows_fall_back(self, line_curve):
         curve = line_curve(10)
-        history = fit_windows(curve, partition_windows(curve, 5))
+        history = fit_windows(curve, 5)
         d, candidates, fallback = select_ma_length(history, curve)
         assert (d, candidates, fallback) == (1, (), True)
 
     @staticmethod
     def assert_matches_oracle(curve, k):
-        history = fit_windows(curve, partition_windows(curve, k))
+        history = fit_windows(curve, k)
         d, candidates, _ = select_ma_length(history, curve)
         oracle_d, oracle_mses = exhaustive_best_d(history, curve)
         assert d == oracle_d
@@ -296,8 +297,9 @@ class TestForecastEndToEnd:
         model = tsarf_forecast(curve, TsarfConfig(k=k, d=1))
         # the per-window loop the reshape replaced
         expected = np.full(n, np.nan)
-        for (start, stop), (b0, b1) in zip(model.history.bounds, model.history.matrix):
-            expected[start:stop] = b0 + b1 * curve.times[start:stop]
+        for w, (b0, b1) in enumerate(model.history.matrix):
+            start = model.history.n_dropped + w * k
+            expected[start:start + k] = b0 + b1 * curve.times[start:start + k]
         assert model.history.n_dropped == n % k
         assert window_fitted_values(model, curve).tobytes() == expected.tobytes()
 

@@ -11,7 +11,6 @@ from tsarf import (
     DegenerateDataError,
     GrowthCurve,
     InsufficientDataError,
-    SrgmFit,
     SrgmKind,
     SrgmParams,
     UsageError,
@@ -83,7 +82,6 @@ class TestMvf:
 class TestFit:
     def test_recovers_go_parameters(self):
         fit = fit_srgm(go_curve(), SrgmKind.GO)
-        assert fit.converged
         assert fit.params.a == pytest.approx(100.0, rel=1e-3)
         assert fit.params.b == pytest.approx(0.05, rel=1e-3)
 
@@ -215,18 +213,6 @@ class TestPredict:
         fit = fit_srgm(go_curve(), SrgmKind.GO)
         pred = srgm_predict(fit, np.linspace(0, 300, 100))
         assert np.all(np.diff(pred) >= 0)
-
-    def test_requires_converged_fit(self):
-        fit = SrgmFit(
-            kind=SrgmKind.GO,
-            params=SrgmParams(a=1.0, b=1.0),
-            sse=np.inf,
-            converged=False,
-            iterations=0,
-            restarts=0,
-        )
-        with pytest.raises(UsageError):
-            srgm_predict(fit, [1.0])
 
 
 def unsorted_bisection(kind, params, horizon, seed):
