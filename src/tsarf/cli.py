@@ -10,6 +10,7 @@ relative output paths.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__
 from .dataset import GrowthCurve, SplitCurve, auto_split_len, read_curve_file, split
 from .errors import ConvergenceError, DataError, TsarfError, UsageError
-from .metrics import MetricsReport, evaluate_model
+from .metrics import evaluate_model
 from .pipeline import (
     TsarfConfig,
     predicted_line,
@@ -29,7 +30,6 @@ from .pipeline import (
     window_fitted_values,
 )
 from .report import (
-    RunReport,
     metrics_to_dict,
     order_models,
     render_metrics_table,
@@ -100,35 +100,35 @@ def _resolve_output(path: str | Path) -> Path:
 
 
 def _resolve_split(curve: GrowthCurve, args, k: int | None) -> SplitCurve:
-    n = curve.n
+    policy = None
     if args.test_len is not None:
-        return split(curve, args.test_len)
-    if args.test_fraction is not None:
+        test_len = args.test_len
+    elif args.test_fraction is not None:
         if not 0 < args.test_fraction < 1:
             raise UsageError(f"test fraction must lie in (0, 1), got {args.test_fraction}")
-        test_len = min(max(int(args.test_fraction * n), 1), n - 1)
-        parts = split(curve, test_len)
-        return SplitCurve(parts.train, parts.test, f"fraction={args.test_fraction} (test_len={test_len})")
-    if k is not None:
-        parts = split(curve, k)
-        return SplitCurve(parts.train, parts.test, f"test_len=k={k}")
-    test_len = auto_split_len(n)
+        test_len = min(max(int(args.test_fraction * curve.n), 1), curve.n - 1)
+        policy = f"fraction={args.test_fraction} (test_len={test_len})"
+    elif k is not None:
+        test_len, policy = k, f"test_len=k={k}"
+    else:
+        test_len = auto_split_len(curve.n)
+        policy = f"auto (test_len={test_len})"
     parts = split(curve, test_len)
-    return SplitCurve(parts.train, parts.test, f"auto (test_len={test_len})")
+    return dataclasses.replace(parts, policy=policy) if policy else parts
 
 
 def _run_models(
     parts: SplitCurve, models: list[str], k: int | None, d: int | None
-) -> tuple[list[MetricsReport], dict[str, str], list[dict], dict[str, np.ndarray]]:
-    """Fit each model on train, score on test, build curve columns."""
+) -> tuple[list[dict], dict[str, np.ndarray]]:
+    """Fit each model on train and score it on test: one report entry per model,
+    plus the predicted curve of each model that fitted."""
     all_times = np.concatenate([parts.train.times, parts.test.times])
-    reports: list[MetricsReport] = []
-    failed: dict[str, str] = {}
     entries: list[dict] = []
     predictions: dict[str, np.ndarray] = {}
 
     for name in order_models(models):
         entry: dict = {"model": name}
+        entries.append(entry)
         try:
             if name == "tsarf":
                 model = tsarf_forecast(parts.train, TsarfConfig(k=k, d=d))
@@ -143,38 +143,35 @@ def _run_models(
                 predictions[name] = srgm_predict(fit, all_times)
                 entry["srgm"] = srgm_entry(fit)
         except ConvergenceError as exc:
-            failed[name] = str(exc)
             entry["status"] = "convergence_error"
             entry["error"] = str(exc)
-            entries.append(entry)
             continue
-        report = evaluate_model(name, pred_test, parts.test.counts)
-        reports.append(report)
         entry["status"] = "ok"
-        entry["metrics"] = metrics_to_dict(report)
-        entries.append(entry)
-    return reports, failed, entries, predictions
+        entry["metrics"] = metrics_to_dict(evaluate_model(name, pred_test, parts.test.counts))
+    return entries, predictions
 
 
-def _write_run_report(meta: dict, parts: SplitCurve, entries: list[dict], output: str) -> None:
-    report = RunReport(
-        dataset=meta,
-        split={"train_n": parts.train.n, "test_n": parts.test.n, "policy": parts.policy},
-        models=entries,
-        version=__version__,
-    )
-    write_report(report, _resolve_output(output))
-
-
-def cmd_compare(args) -> int:
+def _run_and_report(args, models: str) -> tuple[SplitCurve, list[dict], dict[str, np.ndarray]]:
+    """Read, split and run the models of ``compare`` or ``fit``, then write the run report."""
     curve, meta = read_curve_file(args.input)
     k = _parse_auto_int(args.window_size, "window size", 3)
     parts = _resolve_split(curve, args, k)
-    models = _parse_models(args.models)
+    names = _parse_models(models)
     d = _parse_auto_int(args.ma, "moving-average length", 1)
 
-    reports, failed, entries, predictions = _run_models(parts, models, k, d)
-    _write_run_report(meta, parts, entries, args.output)
+    entries, predictions = _run_models(parts, names, k, d)
+    report = {
+        "dataset": meta,
+        "split": {"train_n": parts.train.n, "test_n": parts.test.n, "policy": parts.policy},
+        "models": entries,
+        "version": __version__,
+    }
+    write_report(report, _resolve_output(args.output))
+    return parts, entries, predictions
+
+
+def cmd_compare(args) -> int:
+    parts, entries, predictions = _run_and_report(args, args.models)
     write_curves_csv(
         _resolve_output(args.curves),
         np.concatenate([parts.train.times, parts.test.times]),
@@ -182,9 +179,10 @@ def cmd_compare(args) -> int:
         predictions,
         parts.train.n,
     )
-    print(render_metrics_table(reports, failed))
-    for name, message in failed.items():
-        print(f"warning: {name} failed: {message}", file=sys.stderr)
+    print(render_metrics_table(entries))
+    failed = [entry for entry in entries if entry["status"] != "ok"]
+    for entry in failed:
+        print(f"warning: {entry['model']} failed: {entry['error']}", file=sys.stderr)
     return 3 if failed else 0
 
 
@@ -204,23 +202,23 @@ def cmd_sweep(args) -> int:
     for path in args.inputs:
         curve, _ = read_curve_file(path)
         datasets.append((Path(path).stem, curve))
-    names = [name for name, _ in datasets]
     k = _parse_auto_int(args.window_size, "window size", 3)
     d = _parse_auto_int(args.ma, "moving-average length", 1)
 
-    rows: list[tuple[int, dict[str, float | None]]] = []
+    rows: list[list[str]] = []
     for value in values:
         cell = (value, d) if args.param == "window" else (k, value)
-        cells: dict[str, float | None] = {}
+        row = [str(value)]
         for name, curve in datasets:
             try:
-                cells[name] = _sweep_cell(curve, args, *cell)
+                row.append(f"{_sweep_cell(curve, args, *cell):.6g}")
             except TsarfError as exc:
-                cells[name] = None
+                row.append("error")
                 print(f"warning: {args.param}={value} on {name}: {exc}", file=sys.stderr)
-        rows.append((value, cells))
+        rows.append(row)
 
     label = "size" if args.param == "window" else "length"
+    names = [name for name, _ in datasets]
     write_sweep_csv(_resolve_output(args.output), label, names, rows)
     print(render_sweep_table(label, names, rows))
     return 0
@@ -273,14 +271,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    curve, meta = read_curve_file(args.input)
-    k = _parse_auto_int(args.window_size, "window size", 3)
-    parts = _resolve_split(curve, args, k)
-    d = _parse_auto_int(args.ma, "moving-average length", 1)
-
-    reports, failed, entries, _ = _run_models(parts, [args.model], k, d)
-    _write_run_report(meta, parts, entries, args.output)
-
+    _, entries, _ = _run_and_report(args, args.model)
     entry = entries[0]
     if entry["status"] != "ok":
         print(f"error: {entry['error']}", file=sys.stderr)
@@ -294,7 +285,7 @@ def cmd_fit(args) -> int:
         info = entry["srgm"]
         extra = f" c={info['c']:.6g}" if "c" in info else ""
         print(f"{args.model}: a={info['a']:.6g} b={info['b']:.6g}{extra} sse={info['sse']:.6g}")
-    print(render_metrics_table(reports))
+    print(render_metrics_table(entries))
     return 0
 
 

@@ -94,7 +94,6 @@ class TsarfModel:
     epsilon: np.ndarray
     stage2: StageTwoFit
     history: CoefficientHistory
-    k_used: int
     d_used: int
     d_auto: bool
     d_fallback: bool = False
@@ -244,7 +243,6 @@ def tsarf_forecast(train: GrowthCurve, config: TsarfConfig | None = None) -> Tsa
         epsilon=epsilon,
         stage2=stage2,
         history=history,
-        k_used=k,
         d_used=d,
         d_auto=d_auto,
         d_fallback=fallback,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,28 +29,6 @@ def order_models(models: list[str] | tuple[str, ...]) -> list[str]:
     return [m for m in MODEL_ORDER if m in models]
 
 
-@dataclass
-class RunReport:
-    """Everything one compare/fit invocation produced."""
-
-    dataset: dict
-    split: dict
-    models: list[dict] = field(default_factory=list)
-    version: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RunReport":
-        return cls(
-            dataset=payload["dataset"],
-            split=payload["split"],
-            models=payload["models"],
-            version=payload.get("version", ""),
-        )
-
-
 def metrics_to_dict(report: MetricsReport) -> dict:
     return {
         "pmse": report.pmse,
@@ -65,7 +42,7 @@ def metrics_to_dict(report: MetricsReport) -> dict:
 def tsarf_entry(model: TsarfModel) -> dict:
     """Report fields of a fitted TSARF model."""
     return {
-        "k": model.k_used,
+        "k": model.history.k,
         "d": model.d_used,
         "d_auto": model.d_auto,
         "d_fallback": model.d_fallback,
@@ -95,39 +72,35 @@ def srgm_entry(fit: SrgmFit) -> dict:
     return entry
 
 
-def write_report(report: RunReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+def write_report(report: dict, path: str | Path) -> None:
+    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def read_report(path: str | Path) -> RunReport:
+def read_report(path: str | Path) -> dict:
+    """The report at ``path`` as a plain dict; unreadable input raises DataError."""
     try:
-        payload = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot load report {path}: {exc}") from None
-    return RunReport.from_dict(payload)
 
 
-def _fmt(value: float | None) -> str:
-    if value is None:
-        return "n/a"
-    return f"{value:.6g}"
+def _render_table(rows: list[tuple[str, ...] | list[str]]) -> str:
+    """Left-aligned columns two spaces apart, trailing blanks stripped."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows)
 
 
-def render_metrics_table(reports: list[MetricsReport], failed: dict[str, str] | None = None) -> str:
-    """Fixed-width table: one row per model in canonical order."""
-    failed = failed or {}
-    by_model = {r.model: r for r in reports}
+def render_metrics_table(entries: list[dict]) -> str:
+    """One row per report entry; a model that failed reads ``error``, a vanished metric ``n/a``."""
     rows = [("Model", "PMSE", "PRR", "PP")]
-    for model in MODEL_ORDER:
-        label = MODEL_LABELS.get(model, model)
-        if model in by_model:
-            r = by_model[model]
-            rows.append((label, _fmt(r.pmse), _fmt(r.prr), _fmt(r.pp)))
-        elif model in failed:
-            rows.append((label, "error", "error", "error"))
-    widths = [max(len(row[i]) for row in rows) for i in range(4)]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
-    return "\n".join(lines)
+    for entry in entries:
+        if entry["status"] == "ok":
+            metrics = entry["metrics"]
+            cells = ["n/a" if metrics[key] is None else f"{metrics[key]:.6g}" for key in ("pmse", "prr", "pp")]
+        else:
+            cells = ["error"] * 3
+        rows.append((MODEL_LABELS[entry["model"]], *cells))
+    return _render_table(rows)
 
 
 #: Rows formatted at a time, which bounds the cell strings held at once. On a
@@ -197,40 +170,13 @@ def write_failure_times(path: str | Path, header: list[str], times: np.ndarray) 
             handle.write("\n")
 
 
-def write_sweep_csv(
-    path: str | Path,
-    value_label: str,
-    dataset_names: list[str],
-    rows: list[tuple[int, dict[str, float | None]]],
-) -> None:
-    """Emit one row per swept value; failed cells carry the marker ``error``."""
+def write_sweep_csv(path: str | Path, value_label: str, dataset_names: list[str], rows: list[list[str]]) -> None:
+    """Emit the header, then one formatted row per swept value (failed cells read ``error``)."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([value_label, *dataset_names])
-        for value, cells in rows:
-            record = [str(value)]
-            for name in dataset_names:
-                pmse_value = cells.get(name)
-                record.append("error" if pmse_value is None else f"{pmse_value:.6g}")
-            writer.writerow(record)
+        writer.writerows(rows)
 
 
-def render_sweep_table(
-    value_label: str,
-    dataset_names: list[str],
-    rows: list[tuple[int, dict[str, float | None]]],
-) -> str:
-    header = (value_label.capitalize(), *dataset_names)
-    body = [
-        (str(value), *[
-            "error" if cells.get(name) is None else f"{cells[name]:.6g}"
-            for name in dataset_names
-        ])
-        for value, cells in rows
-    ]
-    table = [header, *body]
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    return "\n".join(
-        "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        for row in table
-    )
+def render_sweep_table(value_label: str, dataset_names: list[str], rows: list[list[str]]) -> str:
+    return _render_table([(value_label.capitalize(), *dataset_names), *rows])

@@ -16,9 +16,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tsarf
-from tsarf import ConvergenceError, FailureTimes
+from tsarf import ConvergenceError, DataError, FailureTimes
 from tsarf.cli import _poisson_band, main
-from tsarf.report import order_models, read_report, write_curves_csv
+from tsarf.report import (
+    order_models,
+    read_report,
+    render_metrics_table,
+    render_sweep_table,
+    write_curves_csv,
+)
 
 
 @pytest.fixture
@@ -331,8 +337,33 @@ def test_report_roundtrip(tmp_path, line_file):
         ]
     )
     report = read_report(report_path)
-    assert report.split["train_n"] + report.split["test_n"] == 40
-    assert report.models[0]["model"] == "tsarf"
+    assert report["split"]["train_n"] + report["split"]["test_n"] == 40
+    assert report["models"][0]["model"] == "tsarf"
+
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json\n")
+    with pytest.raises(DataError, match="cannot load report"):
+        read_report(bad)
+
+
+def test_table_layouts():
+    entries = [
+        {"model": "tsarf", "status": "ok", "metrics": {"pmse": 0.5, "prr": 0.0123456789, "pp": 2.0}},
+        {"model": "go", "status": "ok", "metrics": {"pmse": 12.25, "prr": None, "pp": 0.1}},
+        {"model": "weibull", "status": "convergence_error", "error": "weibull: no fit"},
+    ]
+    assert render_metrics_table(entries) == (
+        "Model    PMSE   PRR        PP\n"
+        "TSARF    0.5    0.0123457  2\n"
+        "GO       12.25  n/a        0.1\n"
+        "Weibull  error  error      error"
+    )
+    rows = [["3", "0.211225", "error"], ["100", "error", "1.50161"]]
+    assert render_sweep_table("size", ["a", "long_name"], rows) == (
+        "Size  a         long_name\n"
+        "3     0.211225  error\n"
+        "100   error     1.50161"
+    )
 
 
 def test_compare_report_keys_match_readme_schema(tmp_path, go_file):
@@ -520,6 +551,27 @@ def test_sweep_multiple_datasets(tmp_path, go_file, line_file):
     assert header == f"size,{go_file.stem},{line_file.stem}"
 
 
+def test_sweep_columns_of_inputs_sharing_a_stem(tmp_path, go_file, line_file):
+    """Each column holds its own input's PMSE, even when two inputs share a file stem."""
+    paths = []
+    for name, source in (("a", go_file), ("b", line_file)):
+        (tmp_path / name).mkdir()
+        paths.append(tmp_path / name / "x.txt")
+        paths[-1].write_bytes(source.read_bytes())
+
+    def sweep(*inputs):
+        out_csv = tmp_path / "s.csv"
+        argv = ["sweep", *map(str, inputs), "--param", "window", "--values", "4,5", "--output", str(out_csv)]
+        assert main(argv) == 0
+        return [line.split(",")[1:] for line in out_csv.read_text().splitlines()]
+
+    alone = [sweep(path) for path in paths]
+    both = sweep(*paths)
+    assert both[0] == ["x", "x"]
+    assert [row[0] for row in alone[0][1:]] != [row[0] for row in alone[1][1:]]
+    assert both[1:] == [a + b for a, b in zip(alone[0][1:], alone[1][1:])]
+
+
 def test_simulate_deterministic_and_round_trips(tmp_path, capsys):
     args = [
         "simulate",
@@ -634,4 +686,4 @@ def test_compare_fuzz_exits_with_a_known_code(text):
             )
         assert rc in (0, 1, 2, 3)
         if rc in (0, 3):
-            assert read_report(report).models
+            assert read_report(report)["models"]

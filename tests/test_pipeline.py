@@ -272,7 +272,7 @@ class TestForecastEndToEnd:
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.epsilon, b.epsilon)
         assert np.array_equal(a.history.matrix, b.history.matrix)
-        assert a.d_used == b.d_used and a.k_used == b.k_used
+        assert a.d_used == b.d_used and a.history.k == b.history.k
         assert a.ma_candidates == b.ma_candidates
 
     def test_auto_window_size_policy(self):
