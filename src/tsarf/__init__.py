@@ -31,7 +31,7 @@ from .errors import (
     TsarfError,
     UsageError,
 )
-from .metrics import MetricsReport, evaluate_model, pmse, pp, prr
+from .metrics import evaluate_model, pmse, pp, prr
 from .pipeline import (
     CoefficientHistory,
     StageTwoFit,
@@ -78,7 +78,6 @@ __all__ = [
     "DegenerateDataError",
     "MetricDomainError",
     "ConvergenceError",
-    "MetricsReport",
     "evaluate_model",
     "pmse",
     "prr",

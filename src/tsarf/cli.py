@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .dataset import GrowthCurve, SplitCurve, auto_split_len, read_curve_file, split
 from .errors import ConvergenceError, DataError, TsarfError, UsageError
-from .metrics import evaluate_model
+from .metrics import evaluate_model, pmse
 from .pipeline import (
     TsarfConfig,
     predicted_line,
@@ -30,7 +30,7 @@ from .pipeline import (
     window_fitted_values,
 )
 from .report import (
-    metrics_to_dict,
+    MODEL_LABELS,
     order_models,
     render_metrics_table,
     render_sweep_table,
@@ -42,8 +42,6 @@ from .report import (
     write_sweep_csv,
 )
 from .srgm import SrgmKind, SrgmParams, fit_srgm, mvf, simulate_nhpp, srgm_predict
-
-KNOWN_MODELS = ("tsarf", "go", "dss", "weibull")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,13 +64,14 @@ def _parse_auto_int(value: str, what: str, minimum: int) -> int | None:
 
 
 def _parse_models(raw: str) -> list[str]:
+    """The requested model names, each once, in canonical order."""
     models = [m.strip().lower() for m in raw.split(",") if m.strip()]
     if not models:
         raise UsageError("at least one model must be requested")
     for m in models:
-        if m not in KNOWN_MODELS:
-            raise UsageError(f"unknown model {m!r}; expected subset of {','.join(KNOWN_MODELS)}")
-    return list(dict.fromkeys(models))
+        if m not in MODEL_LABELS:
+            raise UsageError(f"unknown model {m!r}; expected subset of {','.join(MODEL_LABELS)}")
+    return order_models(models)
 
 
 def _parse_values(raw: str) -> list[int]:
@@ -118,15 +117,14 @@ def _resolve_split(curve: GrowthCurve, args, k: int | None) -> SplitCurve:
 
 
 def _run_models(
-    parts: SplitCurve, models: list[str], k: int | None, d: int | None
+    curve: GrowthCurve, parts: SplitCurve, models: list[str], k: int | None, d: int | None
 ) -> tuple[list[dict], dict[str, np.ndarray]]:
     """Fit each model on train and score it on test: one report entry per model,
     plus the predicted curve of each model that fitted."""
-    all_times = np.concatenate([parts.train.times, parts.test.times])
     entries: list[dict] = []
     predictions: dict[str, np.ndarray] = {}
 
-    for name in order_models(models):
+    for name in models:
         entry: dict = {"model": name}
         entries.append(entry)
         try:
@@ -140,18 +138,20 @@ def _run_models(
             else:
                 fit = fit_srgm(parts.train, SrgmKind.from_label(name))
                 pred_test = srgm_predict(fit, parts.test.times)
-                predictions[name] = srgm_predict(fit, all_times)
+                predictions[name] = srgm_predict(fit, curve.times)
                 entry["srgm"] = srgm_entry(fit)
         except ConvergenceError as exc:
             entry["status"] = "convergence_error"
             entry["error"] = str(exc)
             continue
         entry["status"] = "ok"
-        entry["metrics"] = metrics_to_dict(evaluate_model(name, pred_test, parts.test.counts))
+        entry["metrics"] = evaluate_model(pred_test, parts.test.counts)
     return entries, predictions
 
 
-def _run_and_report(args, models: str) -> tuple[SplitCurve, list[dict], dict[str, np.ndarray]]:
+def _run_and_report(
+    args, models: str
+) -> tuple[GrowthCurve, SplitCurve, list[dict], dict[str, np.ndarray]]:
     """Read, split and run the models of ``compare`` or ``fit``, then write the run report."""
     curve, meta = read_curve_file(args.input)
     k = _parse_auto_int(args.window_size, "window size", 3)
@@ -159,7 +159,7 @@ def _run_and_report(args, models: str) -> tuple[SplitCurve, list[dict], dict[str
     names = _parse_models(models)
     d = _parse_auto_int(args.ma, "moving-average length", 1)
 
-    entries, predictions = _run_models(parts, names, k, d)
+    entries, predictions = _run_models(curve, parts, names, k, d)
     report = {
         "dataset": meta,
         "split": {"train_n": parts.train.n, "test_n": parts.test.n, "policy": parts.policy},
@@ -167,18 +167,12 @@ def _run_and_report(args, models: str) -> tuple[SplitCurve, list[dict], dict[str
         "version": __version__,
     }
     write_report(report, _resolve_output(args.output))
-    return parts, entries, predictions
+    return curve, parts, entries, predictions
 
 
 def cmd_compare(args) -> int:
-    parts, entries, predictions = _run_and_report(args, args.models)
-    write_curves_csv(
-        _resolve_output(args.curves),
-        np.concatenate([parts.train.times, parts.test.times]),
-        np.concatenate([parts.train.counts, parts.test.counts]),
-        predictions,
-        parts.train.n,
-    )
+    curve, parts, entries, predictions = _run_and_report(args, args.models)
+    write_curves_csv(_resolve_output(args.curves), curve.times, curve.counts, predictions, parts.train.n)
     print(render_metrics_table(entries))
     failed = [entry for entry in entries if entry["status"] != "ok"]
     for entry in failed:
@@ -191,17 +185,16 @@ def _sweep_cell(curve: GrowthCurve, args, k: int | None, d: int | None) -> float
     config = TsarfConfig(k=k, d=d)  # rejects k < 3 before the split uses it
     parts = _resolve_split(curve, args, k)
     model = tsarf_forecast(parts.train, config)
-    report = evaluate_model("tsarf", predicted_line(model, parts.test.times), parts.test.counts)
-    assert report.pmse is not None
-    return report.pmse
+    return pmse(predicted_line(model, parts.test.times), parts.test.counts)
 
 
 def cmd_sweep(args) -> int:
     values = _parse_values(args.values)
-    datasets = []
-    for path in args.inputs:
-        curve, _ = read_curve_file(path)
-        datasets.append((Path(path).stem, curve))
+    # a column is headed by its file stem, or by the path as given when
+    # another input shares that stem
+    stems = [Path(path).stem for path in args.inputs]
+    names = [path if stems.count(stem) > 1 else stem for path, stem in zip(args.inputs, stems)]
+    datasets = [(name, read_curve_file(path)[0]) for name, path in zip(names, args.inputs)]
     k = _parse_auto_int(args.window_size, "window size", 3)
     d = _parse_auto_int(args.ma, "moving-average length", 1)
 
@@ -218,7 +211,6 @@ def cmd_sweep(args) -> int:
         rows.append(row)
 
     label = "size" if args.param == "window" else "length"
-    names = [name for name, _ in datasets]
     write_sweep_csv(_resolve_output(args.output), label, names, rows)
     print(render_sweep_table(label, names, rows))
     return 0
@@ -271,7 +263,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    _, entries, _ = _run_and_report(args, args.model)
+    _, _, entries, _ = _run_and_report(args, args.model)
     entry = entries[0]
     if entry["status"] != "ok":
         print(f"error: {entry['error']}", file=sys.stderr)
@@ -337,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a single model and print its parameters and metrics")
     p.add_argument("input")
-    p.add_argument("--model", required=True, choices=KNOWN_MODELS)
+    p.add_argument("--model", required=True, choices=list(MODEL_LABELS))
     add_model_options(p)
     add_split_options(p)
     p.add_argument("--output", default="report.json", help="structured run report path")

@@ -7,23 +7,9 @@ overestimates are punished harder. prr and pp are sums, not means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import MetricDomainError, UsageError
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """One model's scores on a test partition. None marks an undefined metric."""
-
-    model: str
-    n_test: int
-    pmse: float | None
-    prr: float | None
-    pp: float | None
-    notes: tuple[str, ...] = ()
 
 
 def _validate(pred, actual) -> tuple[np.ndarray, np.ndarray]:
@@ -60,22 +46,19 @@ def pp(pred, actual) -> float:
     return float(np.sum(((pred - actual) / actual) ** 2))
 
 
-def evaluate_model(model: str, pred, actual) -> MetricsReport:
-    """Score one model, recording undefined metrics instead of failing."""
+def evaluate_model(pred, actual) -> dict:
+    """Score one model as the run report's ``metrics`` entry: ``pmse``, ``prr``,
+    ``pp``, ``n_test`` and ``notes``. An undefined metric reads None, with a note
+    saying why, instead of failing."""
     pred, actual = _validate(pred, actual)
-    values: dict[str, float | None] = {}
+    metrics: dict = {}
     notes: list[str] = []
     for name, fn in (("pmse", pmse), ("prr", prr), ("pp", pp)):
         try:
-            values[name] = fn(pred, actual)
+            metrics[name] = fn(pred, actual)
         except MetricDomainError as exc:
-            values[name] = None
+            metrics[name] = None
             notes.append(f"{name} undefined: {exc}")
-    return MetricsReport(
-        model=model,
-        n_test=int(actual.size),
-        pmse=values["pmse"],
-        prr=values["prr"],
-        pp=values["pp"],
-        notes=tuple(notes),
-    )
+    metrics["n_test"] = int(actual.size)
+    metrics["notes"] = notes
+    return metrics

@@ -3,14 +3,21 @@
 Every regression in TSARF fits a two-parameter line, so the kernel takes
 designs with exactly two columns, either one ``(n, 2)`` design or a stack of
 ``(W, k, 2)`` designs fitted at once. The normal equations X'X b = X'y of
-every system are formed with one batched matmul and factored with one
-batched Cholesky call; the two 2x2 triangular solves are written out in
-closed form with reciprocal pivots, so no explicit inverse is formed and no
-per-system Python loop runs. A system counts as singular when one of its
-Cholesky pivots, squared, falls below SINGULARITY_RTOL times its own
-diagonal entry of X'X, which does not depend on the scale of the time axis.
-Several responses sharing one design are solved against a single
-factorization.
+every system are formed with one batched matmul, and each 2x2 Gram matrix is
+factored in closed form: l11 = sqrt(g00), l21 = g10 (1/l11) and
+l22 = sqrt(g11 - l21 l21), the expressions LAPACK's unblocked Cholesky
+evaluates. The two triangular solves are written out with the same
+reciprocal pivots, so no explicit inverse is formed and no per-system Python
+loop runs. The Gram matrix and right-hand side stay a matmul: explicit sums
+or ``einsum`` round differently in the last bit, which can move the
+automatic moving-average length.
+
+A system fails when its Gram matrix or right-hand side is not finite
+(overflow) or when a pivot, squared, is not above SINGULARITY_RTOL times its
+own diagonal entry of X'X (singular), a rule that does not depend on the
+scale of the time axis. Both are per-system masks, so the first failing
+system of a stack is found without refactoring anything. Several responses
+sharing one design are solved against a single factorization.
 """
 
 from __future__ import annotations
@@ -35,23 +42,6 @@ def design_matrix(x) -> np.ndarray:
     return np.stack([np.ones_like(x), x], axis=-1)
 
 
-def _factor(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Cholesky factors of a stack of 2x2 Gram matrices, or RankDeficiencyError
-    when any system of the stack overflowed or is singular."""
-    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
-        raise RankDeficiencyError("normal equations overflow")
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise RankDeficiencyError("normal equations are singular") from None
-    pivots = np.diagonal(chol, axis1=-2, axis2=-1)
-    if np.any(pivots**2 <= SINGULARITY_RTOL * np.diagonal(gram, axis1=-2, axis2=-1)):
-        raise RankDeficiencyError(
-            f"normal equations singular to tolerance {SINGULARITY_RTOL:g}"
-        )
-    return chol
-
-
 def ols_fit(X, y) -> np.ndarray:
     """Least-squares line coefficients minimizing the sum of squared errors.
 
@@ -60,11 +50,14 @@ def ols_fit(X, y) -> np.ndarray:
     matrix of r responses, giving (2, r) coefficients with one column per
     response. For a stack, y is (W, k) or (W, k, r) and the result gains a
     leading axis of W: (W, 2) or (W, 2, r). Each system of a stack gets
-    bitwise the coefficients it would get on its own.
+    bitwise the coefficients it would get on its own, and the closed-form
+    factor equals LAPACK's Cholesky factor bit for bit.
 
     Raises RankDeficiencyError when X'X or X'y overflows, or when a Cholesky
-    pivot of X'X, squared, falls below SINGULARITY_RTOL times its diagonal
-    entry; for a stack, its ``index`` is the first failing system.
+    pivot of X'X, squared, is not above SINGULARITY_RTOL times its diagonal
+    entry (a pivot that is not a real number counts as singular). Its
+    ``index`` is the first failing system (0 for a single design) and its
+    message is that system's own.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -85,24 +78,28 @@ def ols_fit(X, y) -> np.ndarray:
     if single:
         y = y[..., None]
     XT = np.swapaxes(X, -1, -2)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         gram = XT @ X
         rhs = XT @ y
-    try:
-        chol = _factor(gram, rhs)
-    except RankDeficiencyError:
-        # name the first system that fails on its own
-        for i in range(len(gram)):
-            try:
-                _factor(gram[i : i + 1], rhs[i : i + 1])
-            except RankDeficiencyError as exc:
-                exc.index = i
-                raise
-        raise
+        g00, g10, g11 = gram[:, 0, 0], gram[:, 1, 0], gram[:, 1, 1]
+        l11 = np.sqrt(g00)
+        inv11 = 1.0 / l11
+        l21 = g10 * inv11
+        l22 = np.sqrt(g11 - l21 * l21)
+        overflow = ~(np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2)))
+        singular = ~((l11 * l11 > SINGULARITY_RTOL * g00) & (l22 * l22 > SINGULARITY_RTOL * g11))
+    failed = overflow | singular
+    if failed.any():
+        index = int(np.argmax(failed))
+        if overflow[index]:
+            exc = RankDeficiencyError("normal equations overflow")
+        else:
+            exc = RankDeficiencyError(f"normal equations singular to tolerance {SINGULARITY_RTOL:g}")
+        exc.index = index
+        raise exc
 
-    inv11 = 1.0 / chol[:, 0, 0, None]
-    inv22 = 1.0 / chol[:, 1, 1, None]
-    l21 = chol[:, 1, 0, None]
+    inv11, l21 = inv11[:, None], l21[:, None]
+    inv22 = 1.0 / l22[:, None]
     z1 = rhs[:, 0] * inv11
     z2 = (rhs[:, 1] - l21 * z1) * inv22
     x2 = z2 * inv22

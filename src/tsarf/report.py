@@ -13,30 +13,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
-from .metrics import MetricsReport
 from .pipeline import TsarfModel
 from .srgm import SrgmFit, SrgmKind
 
-#: Canonical display order for model rows in tables and reports.
-MODEL_ORDER = ("tsarf", "dss", "go", "weibull")
-
-MODEL_LABELS = {"tsarf": "TSARF", "go": "GO", "dss": "DSS", "weibull": "Weibull"}
+#: Every model name with its display label, in the canonical order of table
+#: rows, report entries and curve columns.
+MODEL_LABELS = {"tsarf": "TSARF", "dss": "DSS", "go": "GO", "weibull": "Weibull"}
 
 
 def order_models(models: list[str] | tuple[str, ...]) -> list[str]:
     """Sort model names into the canonical table order."""
-    return [m for m in MODEL_ORDER if m in models]
-
-
-def metrics_to_dict(report: MetricsReport) -> dict:
-    return {
-        "pmse": report.pmse,
-        "prr": report.prr,
-        "pp": report.pp,
-        "n_test": report.n_test,
-        "notes": list(report.notes),
-    }
+    return [m for m in MODEL_LABELS if m in models]
 
 
 def tsarf_entry(model: TsarfModel) -> dict:
@@ -74,14 +61,6 @@ def srgm_entry(fit: SrgmFit) -> dict:
 
 def write_report(report: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-
-
-def read_report(path: str | Path) -> dict:
-    """The report at ``path`` as a plain dict; unreadable input raises DataError."""
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot load report {path}: {exc}") from None
 
 
 def _render_table(rows: list[tuple[str, ...] | list[str]]) -> str:

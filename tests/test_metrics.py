@@ -87,16 +87,16 @@ def test_length_mismatch_rejected():
 
 
 def test_evaluate_model_records_undefined_metrics():
-    report = evaluate_model("go", [0.0, 2.0], [1.0, 0.0])
-    assert report.pmse == pytest.approx(2.5)
-    assert report.prr is None
-    assert report.pp is None
-    assert report.n_test == 2
-    assert any("prr" in note for note in report.notes)
-    assert any("pp" in note for note in report.notes)
+    report = evaluate_model([0.0, 2.0], [1.0, 0.0])
+    assert report["pmse"] == pytest.approx(2.5)
+    assert report["prr"] is None
+    assert report["pp"] is None
+    assert report["n_test"] == 2
+    assert any("prr" in note for note in report["notes"])
+    assert any("pp" in note for note in report["notes"])
 
 
 def test_evaluate_model_full():
-    report = evaluate_model("tsarf", [2.0], [1.0])
-    assert (report.pmse, report.prr, report.pp) == (1.0, 0.25, 1.0)
-    assert report.notes == ()
+    report = evaluate_model([2.0], [1.0])
+    assert (report["pmse"], report["prr"], report["pp"]) == (1.0, 0.25, 1.0)
+    assert report["notes"] == []

@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsarf import RankDeficiencyError, UsageError, design_matrix, ols_fit
+from tsarf.regression import SINGULARITY_RTOL
+
+TOLERANCE_MESSAGE = f"normal equations singular to tolerance {SINGULARITY_RTOL:g}"
 
 
 def grid_min_sse(X, y, lo=-10.0, hi=10.0, step=0.01):
@@ -165,3 +168,97 @@ def test_stacked_fit_equals_per_window_loop_bitwise(k, n_windows, offset, scale,
         else:
             assert stacked.dtype == loop.dtype and stacked.shape == loop.shape
             assert np.array_equal(stacked, loop)
+
+
+def _cholesky_factor(gram, rhs):
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
+        raise RankDeficiencyError("normal equations overflow")
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise RankDeficiencyError("normal equations are singular") from None
+    pivots = np.diagonal(chol, axis1=-2, axis2=-1)
+    if np.any(pivots**2 <= SINGULARITY_RTOL * np.diagonal(gram, axis1=-2, axis2=-1)):
+        raise RankDeficiencyError(TOLERANCE_MESSAGE)
+    return chol
+
+
+def cholesky_oracle(X, y):
+    """The LAPACK solve the closed-form factor replaced: one batched
+    ``np.linalg.cholesky``, then one system at a time to name the first that
+    fails. Returns the coefficients, or (index, message) of the first failure."""
+    stacked, single = X.ndim == 3, y.ndim == X.ndim - 1
+    if not stacked:
+        X, y = X[None], y[None]
+    if single:
+        y = y[..., None]
+    XT = np.swapaxes(X, -1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram, rhs = XT @ X, XT @ y
+    try:
+        chol = _cholesky_factor(gram, rhs)
+    except RankDeficiencyError:
+        for i in range(len(gram)):
+            try:
+                _cholesky_factor(gram[i : i + 1], rhs[i : i + 1])
+            except RankDeficiencyError as exc:
+                return i, str(exc)
+        raise
+    inv11, inv22, l21 = 1.0 / chol[:, 0, 0, None], 1.0 / chol[:, 1, 1, None], chol[:, 1, 0, None]
+    z1 = rhs[:, 0] * inv11
+    x2 = (rhs[:, 1] - l21 * z1) * inv22 * inv22
+    beta = np.stack([(z1 - l21 * x2) * inv11, x2], axis=1)
+    if single:
+        beta = beta[..., 0]
+    return beta if stacked else beta[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(2, 200),
+    n_windows=st.integers(1, 30),
+    one_design=st.booleans(),
+    offset=st.sampled_from([0.0, 1e3, 1e6, 1e9, 1.7e9]) | st.floats(0, 1.7e9),
+    scale=st.floats(-8, 6).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_factor_equals_cholesky_oracle_bitwise(k, n_windows, one_design, offset, scale, seed):
+    rng = np.random.default_rng(seed)
+    gaps = rng.exponential(size=n_windows * k) * (rng.uniform(size=n_windows * k) < 0.9)
+    t = (offset + scale * np.cumsum(gaps)).reshape(n_windows, k)
+    y = np.arange(1.0, n_windows * k + 1).reshape(n_windows, k) + rng.normal(size=(n_windows, k))
+    X = design_matrix(t)
+    if one_design:
+        X, y = X[0], y[0]
+    for response in (y, np.stack([y, -3.0 * y], axis=-1)):
+        closed, oracle = stacked_outcome(X, response), cholesky_oracle(X, response)
+        if isinstance(oracle, tuple):
+            index, message = oracle
+            # LAPACK stops at a pivot that is not positive; the closed form
+            # counts it as singular to tolerance
+            expected = TOLERANCE_MESSAGE if message == "normal equations are singular" else message
+            assert closed == (index, expected)
+        else:
+            assert closed.dtype == oracle.dtype and closed.shape == oracle.shape
+            assert np.array_equal(closed, oracle)
+
+
+@pytest.mark.parametrize(
+    ("singular_at", "overflow_at", "message"),
+    [(1, 3, TOLERANCE_MESSAGE), (3, 1, "normal equations overflow")],
+)
+def test_mixed_stack_names_first_failure_with_its_own_message(singular_at, overflow_at, message):
+    t = np.arange(20.0).reshape(4, 5)
+    t[singular_at] = 7.0
+    t[overflow_at] = 1e200 * np.arange(1.0, 6.0)
+    with pytest.raises(RankDeficiencyError) as info:
+        ols_fit(design_matrix(t), np.arange(20.0).reshape(4, 5))
+    assert (info.value.index, str(info.value)) == (1, message)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_equal_times_raise_the_tolerance_error(n):
+    """Three equal times 0.1 give a negative last pivot, five a tiny positive one."""
+    with pytest.raises(RankDeficiencyError) as info:
+        ols_fit(design_matrix(np.full(n, 0.1)), np.arange(float(n)))
+    assert (info.value.index, str(info.value)) == (0, TOLERANCE_MESSAGE)
