@@ -117,6 +117,13 @@ def load_failure_times(source: TextIO | Iterable[str]) -> FailureTimes:
     lines_before = 0
     source = iter(source)
     while lines := list(islice(source, _BLOCK_LINES)):
+        # leading comment and blank lines, such as a file's header, would
+        # otherwise send the whole block down the strip path below
+        skip = 0
+        while skip < len(lines) and lines[skip].lstrip()[:1] in ("", "#"):
+            skip += 1
+        del lines[:skip]
+        lines_before += skip
         try:
             # float() pads a numeral only with whitespace that str.strip()
             # removes, so a block that parses whole holds data lines only

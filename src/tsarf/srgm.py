@@ -8,12 +8,22 @@ Fitting minimizes the squared error between the mean value function and the
 cumulative counts, which keeps the estimation criterion aligned with the
 squared-error comparison metrics. The multi-start search runs one
 Nelder-Mead, written in numpy, that advances all restarts together one step
-at a time. A step scores the live restarts in at most three broadcast calls
-of the mean value function: the reflection points, the one expansion or
-contraction point each restart needs, and the shrunk vertices. The update is
-that of ``scipy.optimize.minimize(method="Nelder-Mead")`` with the same
-simplex, coefficients, tolerances and limits, so each restart follows the
-path the scalar solver would take, bit for bit.
+at a time. The update is that of
+``scipy.optimize.minimize(method="Nelder-Mead")`` with the same simplex,
+coefficients, tolerances and limits, so each restart follows the path the
+scalar solver would take, bit for bit.
+
+At about a hundred points a fit costs numpy call overhead more than
+arithmetic, so both halves of a step keep their calls few. The simplex
+bookkeeping takes about 50 numpy calls per step for all live restarts
+together; the convergence and limit tests run only when some restart could
+pass them. The batched SSE ``_sse`` takes about 15 calls per batch of points
+and runs in place, and a step scores the live restarts in at most three
+batches: the reflection points, the one expansion or contraction point each
+restart needs, and the shrunk vertices. ``fit_srgm`` holds one
+``np.errstate`` around the whole search instead of one per batch. The
+vertices are ordered with ``np.argsort``, the call scipy makes, because the
+order of tied values depends on the sort.
 """
 
 from __future__ import annotations
@@ -85,14 +95,28 @@ class SrgmFit:
 
 
 def _mvf(kind: SrgmKind, a, b, c, t):
-    """Mean value function with unchecked parameters and times."""
-    if kind is SrgmKind.GO:
-        return a * (1.0 - np.exp(-b * t))
-    if kind is SrgmKind.DSS:
-        return a * (1.0 - (1.0 + b * t) * np.exp(-b * t))
+    """Mean value function with unchecked parameters; t is an array of at
+    least one dimension, and the parameters broadcast against it.
+
+    After the first product every operation runs in place on one array. The
+    operands keep the order of the textbook form a*(1 - exp(-b*t)) and its
+    kin except that products may be commuted, so the values are bitwise
+    those of that form.
+    """
     if kind is SrgmKind.WEIBULL:
-        return a * (1.0 - np.exp(-b * t**c))
-    raise UsageError(f"unhandled kind {kind}")  # pragma: no cover
+        x = t**c
+        x *= b
+    else:
+        x = b * t
+    # -(b*t) is bitwise (-b)*t
+    e = np.negative(x) if kind is SrgmKind.DSS else np.negative(x, out=x)
+    np.exp(e, out=e)
+    if kind is SrgmKind.DSS:
+        np.add(1.0, x, out=x)
+        x *= e
+    np.subtract(1.0, x, out=x)
+    x *= a
+    return x
 
 
 def mvf(kind: SrgmKind, params: SrgmParams, t):
@@ -100,18 +124,25 @@ def mvf(kind: SrgmKind, params: SrgmParams, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise UsageError("mean value function is defined for t >= 0 only")
-    out = _mvf(kind, params.a, params.b, params.c, t_arr)
+    out = _mvf(kind, params.a, params.b, params.c, t_arr.reshape(-1)).reshape(t_arr.shape)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
 def _sse(kind: SrgmKind, log_params: np.ndarray, t: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """SSE of the mean value function at each row of (M, P) log-parameters;
-    inf where a parameter or the sum is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        params = np.exp(log_params)
-        c = params[:, 2:] if params.shape[1] == 3 else 1.0
-        sse = ((_mvf(kind, params[:, :1], params[:, 1:2], c, t) - counts) ** 2).sum(axis=1)
-    sse[~(np.isfinite(params).all(axis=1) & np.isfinite(sse))] = np.inf
+    inf where a parameter or the sum is not finite.
+
+    The caller holds ``np.errstate(over="ignore", invalid="ignore")``.
+    """
+    params = np.exp(log_params)
+    c = params[:, 2:] if params.shape[1] == 3 else 1.0
+    x = _mvf(kind, params[:, :1], params[:, 1:2], c, t)
+    x -= counts
+    x *= x
+    sse = np.fmin(x.sum(axis=1), np.inf)  # NaN -> inf
+    # exp is finite up to 709.78; NaN fails the comparison too
+    if not log_params.max(initial=-np.inf) <= 709.0:
+        sse[~np.isfinite(params).all(axis=1)] = np.inf
     return sse
 
 
@@ -130,9 +161,9 @@ def _starting_points(kind: SrgmKind, counts: np.ndarray, t: np.ndarray) -> np.nd
 
 def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each restart's simplex with its vertices in increasing objective order."""
-    rows = np.arange(len(fsim))[:, None]
-    order = np.argsort(fsim, axis=1)
-    return sim[rows, order], fsim[rows, order]
+    n_vertices = fsim.shape[1]
+    flat = np.argsort(fsim, axis=1) + np.arange(0, fsim.size, n_vertices)[:, None]
+    return sim.reshape(fsim.size, -1).take(flat, axis=0), fsim.take(flat)
 
 
 def _nelder_mead(objective, x0: np.ndarray):
@@ -144,8 +175,14 @@ def _nelder_mead(objective, x0: np.ndarray):
     maxfev=2 * MAX_ITER. Returns per restart the best vertex, its value and
     the iteration count when the tolerance test passed within those limits;
     the value is inf for a restart that hit a limit instead.
+
+    A step costs about 50 numpy calls for all live restarts together, plus
+    the objective calls. The caller holds ``np.errstate(over="ignore",
+    invalid="ignore")``: the objective and the spread tests meet inf. The
+    vertex order comes from ``np.argsort``, as in scipy: the order of tied
+    values depends on numpy's sort, so another sort could send a restart
+    down another path.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     n_starts, dim = x0.shape
     sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
     for k in range(dim):
@@ -154,60 +191,65 @@ def _nelder_mead(objective, x0: np.ndarray):
     fatol = SSE_RTOL * np.maximum(1.0, fsim[:, 0])
     # scipy sorts the first simplex twice; an unstable sort may reorder ties
     sim, fsim = _sorted(*_sorted(sim, fsim))
+    # Scipy's second point of a step (rho=1, chi=2, psi=0.5) is
+    # c1*xbar - c2*worst, with (c1, c2) in the row expand + 2*contract +
+    # inside: reflection accepted (no second point), expansion, outside and
+    # inside contraction. Each product and difference is bitwise scipy's.
+    coef = np.array([[1.0, 0.0], [3.0, 2.0], [1.5, 0.5], [0.5, -0.5]])
 
     best_x = np.array(x0)
     best_f = np.full(n_starts, np.inf)
     best_nit = np.zeros(n_starts, dtype=int)
-    # state of the restarts still running, one row each
+    # state of the restarts still running, one row each; they share nit
     live = np.arange(n_starts)
     nfev = np.full(n_starts, dim + 1)
-    nit = np.ones(n_starts, dtype=int)
+    nit = 1
     while True:
-        with np.errstate(invalid="ignore"):
-            done = (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= X_ATOL) & (
-                np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= fatol
-            )
-        within = (nfev < 2 * MAX_ITER) & (nit < MAX_ITER)
-        keep = within & ~done
-        if not keep.all():
-            stop = within & done
-            best_x[live[stop]] = sim[stop, 0]
-            best_f[live[stop]] = fsim[stop, 0]
-            best_nit[live[stop]] = nit[stop]
-            live, sim, fsim, fatol, nfev, nit = (
-                a[keep] for a in (live, sim, fsim, fatol, nfev, nit)
-            )
-            if not live.size:
-                return best_x, best_f, best_nit
+        # The vertices are sorted, so fsim[:, -1] - fsim[:, 0] is the largest
+        # f-spread. While no restart passes it, none can stop; and none can
+        # have reached a limit while nit*(dim+2) + dim+1 < 2*MAX_ITER, since a
+        # step makes at most dim + 2 evaluations.
+        near = fsim[:, -1] - fsim[:, 0] <= fatol
+        if near.any() or nit * (dim + 2) + dim + 1 >= 2 * MAX_ITER:
+            done = near & (np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= X_ATOL)
+            within = (nfev < 2 * MAX_ITER) & (nit < MAX_ITER)
+            keep = within & ~done
+            if not keep.all():
+                stop = within & done
+                best_x[live[stop]] = sim[stop, 0]
+                best_f[live[stop]] = fsim[stop, 0]
+                best_nit[live[stop]] = nit
+                live, sim, fsim, fatol, nfev = (a[keep] for a in (live, sim, fsim, fatol, nfev))
+                if not live.size:
+                    return best_x, best_f, best_nit
 
         xbar = np.add.reduce(sim[:, :-1], 1) / dim
         worst = sim[:, -1]
-        xr = (1 + rho) * xbar - rho * worst
+        xr = 2 * xbar - worst
         fxr = objective(xr)
         expand = fxr < fsim[:, 0]
-        reflect = ~expand & (fxr < fsim[:, -2])
-        outside = ~expand & ~reflect & (fxr < fsim[:, -1])
-        inside = ~(expand | reflect | outside)
-        x2 = np.where(
-            expand[:, None],
-            (1 + rho * chi) * xbar - rho * chi * worst,
-            np.where(
-                outside[:, None],
-                (1 + psi * rho) * xbar - psi * rho * worst,
-                (1 - psi) * xbar + psi * worst,
-            ),
-        )
-        f2 = np.array(fxr)
-        f2[~reflect] = objective(x2[~reflect])
-        take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < fsim[:, -1]))
-        shrink = (outside | inside) & ~take2
-        sim[:, -1] = np.where(take2[:, None], x2, np.where(shrink[:, None], worst, xr))
-        fsim[:, -1] = np.where(take2, f2, np.where(shrink, fsim[:, -1], fxr))
+        contract = fxr >= fsim[:, -2]
+        inside = fxr >= fsim[:, -1]
+        c = coef.take(expand + 2 * contract + inside, axis=0)
+        x2 = c[:, :1] * xbar - c[:, 1:] * worst
+        second = expand | contract
+        f2 = np.full(len(fxr), np.inf)
+        f2[second] = objective(x2[second])
+        take2 = np.where(inside, f2 < fsim[:, -1], np.where(expand, f2 < fxr, f2 <= fxr))
+        shrink = contract & ~take2
         if shrink.any():
-            shrunk = sim[shrink, :1] + sigma * (sim[shrink, 1:] - sim[shrink, :1])
+            # every vertex but the best, the worst too, moves halfway to it
+            best = sim[shrink, :1]
+            shrunk = best + 0.5 * (sim[shrink, 1:] - best)
             sim[shrink, 1:] = shrunk
             fsim[shrink, 1:] = objective(shrunk.reshape(-1, dim)).reshape(-1, dim)
-        nfev += 1 + ~reflect + dim * shrink
+            # so that the update below keeps their new last vertex
+            xr[shrink] = shrunk[:, -1]
+            fxr[shrink] = fsim[shrink, -1]
+            nfev += dim * shrink
+        sim[:, -1] = np.where(take2[:, None], x2, xr)
+        fsim[:, -1] = np.where(take2, f2, fxr)
+        nfev += 1 + second
         nit += 1
         sim, fsim = _sorted(sim, fsim)
 
@@ -231,7 +273,8 @@ def fit_srgm(train: GrowthCurve, kind: SrgmKind) -> SrgmFit:
         raise DegenerateDataError("times show no spread; rate is unidentifiable")
 
     starts = _starting_points(kind, counts, t)
-    x, sse, nit = _nelder_mead(lambda p: _sse(kind, p, t, counts), starts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, sse, nit = _nelder_mead(lambda p: _sse(kind, p, t, counts), starts)
     best = int(np.argmin(sse))
     if np.isinf(sse[best]):
         raise ConvergenceError(

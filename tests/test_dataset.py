@@ -271,3 +271,20 @@ def test_load_matches_per_line_reader(lines, block_lines, ending):
         assert isinstance(got, FailureTimes)
         assert np.array_equal(got.times, expected[0])
         assert got.required_sorting == expected[1]
+
+
+@pytest.mark.parametrize("block_lines", [2, 8192])
+@pytest.mark.parametrize("header", ["# one\n", "# one\n\n", "# one\n  \n\t# three\n"])
+@pytest.mark.parametrize(
+    "body", ["1.5\n2.5\n0.5\n", "1.5\n# later\n2.5\n", "1.5\n\n2.5\n", "1.5\n-2\n", "1.5\nbogus\n", "nan\n"]
+)
+def test_load_after_leading_comment_lines(block_lines, header, body):
+    text = header + body
+    expected = _outcome(per_line_load, io.StringIO(text))
+    with mock.patch.object(dataset, "_BLOCK_LINES", block_lines):
+        got = _outcome(load_failure_times, io.StringIO(text))
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert np.array_equal(got.times, expected[0])
+        assert got.required_sorting == expected[1]

@@ -79,6 +79,63 @@ class TestMvf:
         assert np.all(np.diff(rate[i_peak + 1 :]) < 0)
 
 
+def textbook_mvf(kind, a, b, c, t):
+    """The mean value functions as first written, one new array per operation."""
+    if kind is SrgmKind.GO:
+        return a * (1.0 - np.exp(-b * t))
+    if kind is SrgmKind.DSS:
+        return a * (1.0 - (1.0 + b * t) * np.exp(-b * t))
+    return a * (1.0 - np.exp(-b * t**c))
+
+
+def textbook_sse(kind, log_params, t, counts):
+    """The batched SSE as first written, with one errstate per call."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        params = np.exp(log_params)
+        c = params[:, 2:] if params.shape[1] == 3 else 1.0
+        sse = ((textbook_mvf(kind, params[:, :1], params[:, 1:2], c, t) - counts) ** 2).sum(axis=1)
+    sse[~(np.isfinite(params).all(axis=1) & np.isfinite(sse))] = np.inf
+    return sse
+
+
+log_param_values = st.one_of(
+    st.floats(-12.0, 12.0),
+    st.floats(700.0, 720.0),
+    st.sampled_from([-np.inf, np.inf, np.nan, 709.0, 709.78, 709.79, -745.2]),
+)
+time_values = st.one_of(st.just(0.0), st.floats(0.0, 1e4), st.floats(0.0, 1e-3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(SrgmKind)), st.integers(1, 40), st.integers(1, 30), st.data())
+def test_sse_matches_textbook_form_bitwise(kind, rows, n, data):
+    size = rows * kind.param_count
+    log_params = np.array(data.draw(st.lists(log_param_values, min_size=size, max_size=size)))
+    log_params = log_params.reshape(rows, kind.param_count)
+    t = np.array(data.draw(st.lists(time_values, min_size=n, max_size=n)))
+    counts = np.array(data.draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n)))
+    expected = textbook_sse(kind, log_params, t, counts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = srgm._sse(kind, log_params, t, counts)
+    assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(list(SrgmKind)),
+    st.floats(-3.0, 9.0).map(lambda e: 10.0**e),
+    st.floats(-9.0, 2.0).map(lambda e: 10.0**e),
+    st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.1, 5.0)),
+    st.one_of(time_values, st.lists(time_values, min_size=1, max_size=30)),
+)
+def test_mvf_matches_textbook_form_bitwise(kind, a, b, c, t):
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = textbook_mvf(kind, a, b, c, np.asarray(t))
+    got = mvf(kind, SrgmParams(a=a, b=b, c=c), t)
+    assert isinstance(got, float) == np.isscalar(t)
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
 class TestFit:
     def test_recovers_go_parameters(self):
         fit = fit_srgm(go_curve(), SrgmKind.GO)
@@ -116,9 +173,9 @@ class TestFit:
         assert fit.kind is SrgmKind.GO
 
 
-def scipy_reference_fit(curve, kind):
+def scipy_restarts(curve, kind):
     """One scipy.optimize.minimize call per restart, with the options the
-    lockstep solver reproduces; returns the winning result and the restarts."""
+    lockstep solver reproduces."""
     from scipy.optimize import minimize
 
     t, counts = curve.times, curve.counts
@@ -139,9 +196,8 @@ def scipy_reference_fit(curve, kind):
     if kind is SrgmKind.WEIBULL:
         grids.append([0.5, 1.0, 2.0])
     starts = [np.log(np.asarray(combo, dtype=float)) for combo in itertools.product(*grids)]
-    best = None
-    for x0 in starts:
-        result = minimize(
+    return [
+        minimize(
             objective,
             x0,
             method="Nelder-Mead",
@@ -152,9 +208,16 @@ def scipy_reference_fit(curve, kind):
                 "fatol": 1e-10 * max(1.0, objective(x0)),
             },
         )
-        if result.success and (best is None or result.fun < best.fun):
-            best = result
-    return best, len(starts)
+        for x0 in starts
+    ]
+
+
+def scipy_reference_fit(curve, kind):
+    """The winning scipy restart (the first of the lowest converged values)
+    and the number of restarts."""
+    results = scipy_restarts(curve, kind)
+    best = min((r for r in results if r.success), key=lambda r: r.fun, default=None)
+    return best, len(results)
 
 
 ORACLE_CURVES = {
@@ -189,10 +252,52 @@ def test_lockstep_matches_scipy_when_some_restarts_hit_the_cap(monkeypatch, kind
     assert_matches_reference(go_curve(), kind)
 
 
+# On the changepoint curve a GO or DSS restart makes about 2.1 evaluations per
+# iteration, so with the first two caps some restarts stop on the evaluation
+# cap while others converge. With the last, no restart converges and none is
+# near convergence when it reaches the evaluation cap, so only the solver's
+# bound on evaluations can stop it there.
+@pytest.mark.parametrize("kind, cap", [(SrgmKind.GO, 120), (SrgmKind.DSS, 90), (SrgmKind.WEIBULL, 10)])
+def test_lockstep_matches_scipy_when_some_restarts_hit_the_evaluation_cap(monkeypatch, kind, cap):
+    monkeypatch.setattr(srgm, "MAX_ITER", cap)
+    curve = ORACLE_CURVES["changepoint"]()
+    results = scipy_restarts(curve, kind)
+    capped = sum(r.nfev >= 2 * cap and r.nit < cap for r in results)
+    assert capped
+    scored = []
+    sse = srgm._sse
+    monkeypatch.setattr(srgm, "_sse", lambda *args: scored.append(len(args[1])) or sse(*args))
+    if any(r.success for r in results):
+        assert_matches_reference(curve, kind)
+    else:
+        with pytest.raises(ConvergenceError):
+            fit_srgm(curve, kind)
+    # Scipy stops a capped restart inside the step that reaches the cap; the
+    # lockstep ends that step, at most dim + 1 more evaluations, and no other.
+    spent = sum(r.nfev for r in results)
+    assert spent <= sum(scored) <= spent + (kind.param_count + 1) * capped
+
+
 def test_every_restart_capped_raises(monkeypatch):
     monkeypatch.setattr(srgm, "MAX_ITER", 2)
     with pytest.raises(ConvergenceError, match="none of the 9 restarts converged"):
         fit_srgm(go_curve(), SrgmKind.GO)
+
+
+# Rescaling time moves an interior fit's SSE only by rounding. The boundary
+# fits on these curves (changepoint GO and Weibull, line Weibull) run towards
+# a -> inf, b -> 0, where 1 - exp(-b*t) keeps few digits, and their SSE moves
+# by up to 9e-2 relative (ROADMAP item 2); they are left out until then.
+@pytest.mark.parametrize(
+    "curve_name, kind",
+    [("changepoint", SrgmKind.DSS), ("go", SrgmKind.DSS), ("line", SrgmKind.DSS), ("line", SrgmKind.GO)],
+)
+def test_interior_fit_sse_is_invariant_to_time_scale(curve_name, kind):
+    curve = ORACLE_CURVES[curve_name]()
+    base = fit_srgm(curve, kind).sse
+    for scale in (1e-3, 0.1, 3.7, 60.0, 3600.0, 1e6):
+        scaled = fit_srgm(GrowthCurve(curve.times * scale, curve.counts), kind)
+        assert scaled.sse == pytest.approx(base, rel=1e-14, abs=0)
 
 
 class TestPredict:
