@@ -179,8 +179,9 @@ def select_ma_length(
     moving average for every candidate d in 1..W-2 comes from one reversed
     cumulative sum of the coefficient rows before the held-out window, and
     all W - 2 blended lines are scored against the held-out points at once.
-    Ties break toward the smallest d. With fewer than 3 windows there is
-    nothing to hold out, so d = 1 is returned with a diagnostic.
+    RMSEs within 1000·eps·max|y_hold| of the least differ only by rounding,
+    so they tie; ties break toward the smallest d. With fewer than 3 windows
+    there is nothing to hold out, so d = 1 is returned with a diagnostic.
     """
     n_windows = history.W
     if n_windows < 3:
@@ -202,7 +203,9 @@ def select_ma_length(
     pred = coeffs[:, :1] + coeffs[:, 1:] * t_hold
     mses = np.mean((pred - y_hold) ** 2, axis=1)
     candidates = tuple(zip(lengths.tolist(), mses.tolist()))
-    return int(np.argmin(mses)) + 1, candidates, False
+    rmses = np.sqrt(mses)
+    tolerance = 1000 * np.finfo(float).eps * np.abs(y_hold).max()
+    return int(np.argmax(rmses <= rmses.min() + tolerance)) + 1, candidates, False
 
 
 def predicted_line(model: TsarfModel, times) -> np.ndarray:

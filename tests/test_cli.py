@@ -23,6 +23,7 @@ from tsarf.report import (
     render_metrics_table,
     render_sweep_table,
     write_curves_csv,
+    write_failure_times,
 )
 
 
@@ -484,6 +485,45 @@ def test_curves_csv_bytes_with_dropped_training_points(tmp_path, monkeypatch):
     assert data == want.read_bytes()
     assert data.startswith(b"t,actual,tsarf,go,weibull,partition\r\n0.5,1,,0.9,1,train\r\n")
     assert data.endswith(b"9.999888672e-321,6,-1e+200,6.1,6,test\r\n")
+
+
+def test_curves_csv_dropped_run_across_block_and_cut(tmp_path, monkeypatch):
+    """Blank cells from row 2 to 6 span the block edge at 4 and the cut at 6; every other cell is integral."""
+    monkeypatch.setattr("tsarf.report._CSV_BLOCK_ROWS", 4)
+    times = np.arange(1.0, 11.0)
+    actual = 2.0 * times
+    predictions = {
+        "go": np.array([5.0, -3.0, 9_999_999_999.0, 0.0, 7.0, 7.0, 7.0, 7.0, 7.0, 7.0]),
+        "tsarf": np.array([1.0, 2.0, *[np.nan] * 5, 8.0, 9.0, 10.0]),
+    }
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_curves_csv(got, times, actual, predictions, 6)
+    per_row_curves_csv(want, times, actual, predictions, 6)
+    assert got.read_bytes() == want.read_bytes() == (
+        b"t,actual,tsarf,go,partition\r\n"
+        b"1,2,1,5,train\r\n2,4,2,-3,train\r\n3,6,,9999999999,train\r\n4,8,,0,train\r\n"
+        b"5,10,,7,train\r\n6,12,,7,train\r\n7,14,,7,test\r\n8,16,8,7,test\r\n"
+        b"9,18,9,7,test\r\n10,20,10,7,test\r\n"
+    )
+
+
+subnormal_values = st.sampled_from([5e-324, -5e-324, 1e-320, 2.2250738585072009e-308])
+
+
+@settings(max_examples=80)
+@given(
+    st.sampled_from([integral_values, st.one_of(integral_values, subnormal_values, cell_values)]).flatmap(
+        lambda values: st.lists(values, max_size=30)
+    ),
+    st.sampled_from([4, 8192]),
+)
+def test_failure_times_match_per_line_bytes(times, block_rows):
+    header = ["simulated go failure times", "a=1 b=2"]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch("tsarf.report._CSV_BLOCK_ROWS", block_rows):
+        path = Path(tmp) / "sim.txt"
+        write_failure_times(path, header, np.asarray(times, dtype=float))
+        want = "".join(f"# {line}\n" for line in header) + "".join(f"{t:.10g}\n" for t in times)
+        assert path.read_bytes() == want.encode()
 
 
 def test_sweep_window_rows_and_error_marker(tmp_path, go_file, capsys):

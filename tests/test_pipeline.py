@@ -248,6 +248,50 @@ class TestSelectMaLength:
         curve = make_changepoint_curve(np.random.default_rng(8), n=300)
         assert self.assert_matches_oracle(curve, 3).W == 100
 
+    @staticmethod
+    def exact_line(n, scale, offset, base=0.0):
+        """Counts base + 1..n at times scale·(i - 1)/2, shifted by ``offset`` spans."""
+        times = scale * np.arange(n) / 2
+        return GrowthCurve(times + offset * times[-1], base + np.arange(1.0, n + 1))
+
+    @pytest.mark.parametrize("n,k", [(40, 3), (100, 10)])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 0.5, 37.0, 3600.0, 1e6])
+    @pytest.mark.parametrize("offset", [0.0, 0.25])
+    def test_exact_line_ties_to_one(self, n, k, scale, offset):
+        """Every holdout MSE of an exact line is rounding noise, so every d ties."""
+        curve = self.exact_line(n, scale, offset)
+        d, candidates, _ = select_ma_length(fit_windows(curve, k), curve)
+        assert d == 1
+        assert len(candidates) == n // k - 2
+
+    def test_gap_above_tolerance_is_not_a_tie(self):
+        """Shrinking a curve onto a line shrinks every RMSE gap by the same factor,
+        since the pipeline is linear in the counts: d = 8 wins by 75 tolerances
+        at 1e-6 and ties down to 1 at 1e-13."""
+        curve = make_changepoint_curve(np.random.default_rng(33), n=60)
+        line = 1.0 + 2.0 * curve.times
+        for shrink, want in [(1.0, 8), (1e-6, 8), (1e-13, 1)]:
+            shrunk = GrowthCurve(curve.times, line + shrink * (curve.counts - line))
+            assert select_ma_length(fit_windows(shrunk, 3), shrunk)[0] == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([(32, 3), (40, 3), (60, 5), (100, 10)]),
+        st.floats(-6, 6),
+        st.floats(0, 0.25),
+        st.sampled_from([0.0, 1.0, 1000.0]),
+        st.lists(st.floats(-1, 1), min_size=100, max_size=100),
+    )
+    def test_noise_far_below_tolerance_keeps_d(self, shape, log_scale, offset, base, noise):
+        """Noise up to eps·max|y|, a thousandth of the tolerance, leaves an exact line's d at 1."""
+        n, k = shape
+        curve = self.exact_line(n, 10.0**log_scale, offset, base)
+        jitter = np.finfo(float).eps * curve.counts.max() * np.asarray(noise[:n])
+        noisy = GrowthCurve(curve.times, curve.counts + jitter)
+        d, _, _ = select_ma_length(fit_windows(curve, k), curve)
+        noisy_d, _, _ = select_ma_length(fit_windows(noisy, k), noisy)
+        assert d == noisy_d == 1
+
 
 class TestForecastEndToEnd:
     def test_predicted_line_hand_values(self, line_curve):
