@@ -14,6 +14,7 @@ from .dataset import (
     GrowthCurve,
     SplitCurve,
     auto_split_len,
+    auto_window_size,
     load_failure_times,
     load_growth_curve_csv,
     read_curve_file,
@@ -38,7 +39,6 @@ from .pipeline import (
     TsarfConfig,
     TsarfModel,
     apply_moving_average,
-    auto_window_size,
     error_correct,
     fit_windows,
     forecast_coefficients,
@@ -64,6 +64,7 @@ __all__ = [
     "GrowthCurve",
     "SplitCurve",
     "auto_split_len",
+    "auto_window_size",
     "load_failure_times",
     "load_growth_curve_csv",
     "read_curve_file",
@@ -86,7 +87,6 @@ __all__ = [
     "TsarfModel",
     "CoefficientHistory",
     "StageTwoFit",
-    "auto_window_size",
     "fit_windows",
     "forecast_coefficients",
     "error_correct",

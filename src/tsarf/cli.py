@@ -10,9 +10,7 @@ relative output paths.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -20,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dataset import GrowthCurve, SplitCurve, auto_split_len, read_curve_file, split
+from .dataset import GrowthCurve, SplitCurve, read_curve_file, split
 from .errors import ConvergenceError, DataError, TsarfError, UsageError
 from .metrics import evaluate_model, pmse
 from .pipeline import (
@@ -34,6 +32,7 @@ from .report import (
     order_models,
     render_metrics_table,
     render_sweep_table,
+    run_report,
     srgm_entry,
     tsarf_entry,
     write_curves_csv,
@@ -41,7 +40,7 @@ from .report import (
     write_report,
     write_sweep_csv,
 )
-from .srgm import SrgmKind, SrgmParams, fit_srgm, mvf, simulate_nhpp, srgm_predict
+from .srgm import SrgmKind, SrgmParams, fit_srgm, mvf, poisson_band, simulate_nhpp, srgm_predict
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,24 +97,6 @@ def _resolve_output(path: str | Path) -> Path:
     return path
 
 
-def _resolve_split(curve: GrowthCurve, args, k: int | None) -> SplitCurve:
-    policy = None
-    if args.test_len is not None:
-        test_len = args.test_len
-    elif args.test_fraction is not None:
-        if not 0 < args.test_fraction < 1:
-            raise UsageError(f"test fraction must lie in (0, 1), got {args.test_fraction}")
-        test_len = min(max(int(args.test_fraction * curve.n), 1), curve.n - 1)
-        policy = f"fraction={args.test_fraction} (test_len={test_len})"
-    elif k is not None:
-        test_len, policy = k, f"test_len=k={k}"
-    else:
-        test_len = auto_split_len(curve.n)
-        policy = f"auto (test_len={test_len})"
-    parts = split(curve, test_len)
-    return dataclasses.replace(parts, policy=policy) if policy else parts
-
-
 def _run_models(
     curve: GrowthCurve, parts: SplitCurve, models: list[str], k: int | None, d: int | None
 ) -> tuple[list[dict], dict[str, np.ndarray]]:
@@ -149,24 +130,16 @@ def _run_models(
     return entries, predictions
 
 
-def _run_and_report(
-    args, models: str
-) -> tuple[GrowthCurve, SplitCurve, list[dict], dict[str, np.ndarray]]:
+def _run_and_report(args, models: str) -> tuple[GrowthCurve, SplitCurve, list[dict], dict[str, np.ndarray]]:
     """Read, split and run the models of ``compare`` or ``fit``, then write the run report."""
     curve, meta = read_curve_file(args.input)
     k = _parse_auto_int(args.window_size, "window size", 3)
-    parts = _resolve_split(curve, args, k)
+    parts = split(curve, args.test_len, test_fraction=args.test_fraction, k=k)
     names = _parse_models(models)
     d = _parse_auto_int(args.ma, "moving-average length", 1)
 
     entries, predictions = _run_models(curve, parts, names, k, d)
-    report = {
-        "dataset": meta,
-        "split": {"train_n": parts.train.n, "test_n": parts.test.n, "policy": parts.policy},
-        "models": entries,
-        "version": __version__,
-    }
-    write_report(report, _resolve_output(args.output))
+    write_report(run_report(meta, parts, entries), _resolve_output(args.output))
     return curve, parts, entries, predictions
 
 
@@ -178,14 +151,6 @@ def cmd_compare(args) -> int:
     for entry in failed:
         print(f"warning: {entry['model']} failed: {entry['error']}", file=sys.stderr)
     return 3 if failed else 0
-
-
-def _sweep_cell(curve: GrowthCurve, args, k: int | None, d: int | None) -> float:
-    """Test PMSE of one sweep cell; the default split tracks its window size."""
-    config = TsarfConfig(k=k, d=d)  # rejects k < 3 before the split uses it
-    parts = _resolve_split(curve, args, k)
-    model = tsarf_forecast(parts.train, config)
-    return pmse(predicted_line(model, parts.test.times), parts.test.counts)
 
 
 def cmd_sweep(args) -> int:
@@ -200,11 +165,14 @@ def cmd_sweep(args) -> int:
 
     rows: list[list[str]] = []
     for value in values:
-        cell = (value, d) if args.param == "window" else (k, value)
+        cell_k, cell_d = (value, d) if args.param == "window" else (k, value)
         row = [str(value)]
         for name, curve in datasets:
             try:
-                row.append(f"{_sweep_cell(curve, args, *cell):.6g}")
+                config = TsarfConfig(k=cell_k, d=cell_d)  # rejects k < 3 before the split uses it
+                parts = split(curve, args.test_len, test_fraction=args.test_fraction, k=cell_k)
+                model = tsarf_forecast(parts.train, config)
+                row.append(f"{pmse(predicted_line(model, parts.test.times), parts.test.counts):.6g}")
             except TsarfError as exc:
                 row.append("error")
                 print(f"warning: {args.param}={value} on {name}: {exc}", file=sys.stderr)
@@ -214,28 +182,6 @@ def cmd_sweep(args) -> int:
     write_sweep_csv(_resolve_output(args.output), label, names, rows)
     print(render_sweep_table(label, names, rows))
     return 0
-
-
-def _poisson_band(mean: float) -> tuple[int, int]:
-    """Central 99.9% interval of a Poisson count, as ``scipy.stats.poisson.interval``.
-
-    Each end is the smallest k whose CDF reaches (1 -/+ 0.999)/2. The pmf is
-    taken over mode +- (40 + 12 sqrt(mean)), which holds all but a negligible
-    tail of the mass, and normalised to sum to one. Its logarithm is summed
-    from the steps log(pmf(k) / pmf(k - 1)) = log(mean / k): at means of 1e8
-    and 1e9 this puts the CDF within 1e-14 of its exact value, where
-    ``k log(mean) - mean - lgamma(k + 1)`` is only within about 1e-12.
-    The tests check exact equality with scipy for means from 1e-3 to 1e8.
-    """
-    mode = math.floor(mean)
-    half = int(40 + 12 * math.sqrt(mean))
-    k = np.arange(max(0, mode - half), mode + half + 1)
-    steps = np.log1p((mean - k[1:]) / k[1:])
-    log_pmf = np.concatenate([[0.0], np.cumsum(steps)])
-    pmf = np.exp(log_pmf - log_pmf.max())
-    cdf = np.cumsum(pmf) / pmf.sum()
-    lo, hi = np.searchsorted(cdf, [(1.0 - 0.999) / 2, (1.0 + 0.999) / 2])
-    return int(k[0] + lo), int(k[0] + hi)
 
 
 def cmd_simulate(args) -> int:
@@ -250,7 +196,7 @@ def cmd_simulate(args) -> int:
     write_failure_times(path, header, times.times)
 
     total = mvf(kind, params, args.horizon)
-    lo, hi = _poisson_band(total)
+    lo, hi = poisson_band(total)
     count = len(times)
     print(f"wrote {count} failure times to {path}")
     if not lo <= count <= hi:
@@ -292,8 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_split_options(p):
-        p.add_argument("--test-len", type=int, default=None, help="test partition length (default: window size)")
-        p.add_argument("--test-fraction", type=float, default=None, help="test partition fraction in (0,1)")
+        # exclusive at parse time, so sweep exits 1 rather than failing every cell
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--test-len", type=int, default=None, help="test partition length (default: window size)")
+        group.add_argument("--test-fraction", type=float, default=None, help="test partition fraction in (0,1)")
 
     def add_model_options(p):
         p.add_argument("--window-size", default="auto", help="points per window, or 'auto' (10%% of training)")

@@ -213,7 +213,8 @@ def read_curve_file(path: str | Path) -> tuple[GrowthCurve, dict]:
     """
     path = Path(path)
     try:
-        with path.open() as handle:
+        # utf-8-sig drops the byte-order mark that "CSV UTF-8" exports begin with
+        with path.open(encoding="utf-8-sig") as handle:
             # only the lines up to the first data line are read to sniff it
             first = next((s for line in handle if (s := line.strip()) and s[0] != "#"), "")
             handle.seek(0)
@@ -233,18 +234,38 @@ def read_curve_file(path: str | Path) -> tuple[GrowthCurve, dict]:
     return curve, meta
 
 
-def split(curve: GrowthCurve, test_len: int) -> SplitCurve:
-    """Hold out the last ``test_len`` points as the test partition."""
+def split(
+    curve: GrowthCurve, test_len: int | None = None, *, test_fraction: float | None = None, k: int | None = None
+) -> SplitCurve:
+    """Hold out the last points as the test partition, recording the policy used.
+
+    The test length is ``test_len`` if given; else ``test_fraction`` of the
+    points, rounded down and kept within 1 and n - 1; else the window size
+    ``k``, so exactly one window is forecast; else :func:`auto_split_len`.
+    """
+    if test_len is not None:
+        if test_fraction is not None:
+            raise UsageError("give a test length or a test fraction, not both")
+        policy = f"test_len={test_len}"
+    elif test_fraction is not None:
+        if not 0 < test_fraction < 1:
+            raise UsageError(f"test fraction must lie in (0, 1), got {test_fraction}")
+        test_len = min(max(int(test_fraction * curve.n), 1), curve.n - 1)
+        policy = f"fraction={test_fraction} (test_len={test_len})"
+    elif k is not None:
+        test_len, policy = k, f"test_len=k={k}"
+    else:
+        test_len = auto_split_len(curve.n)
+        policy = f"auto (test_len={test_len})"
     if not 0 < test_len < curve.n:
-        raise UsageError(
-            f"test length must satisfy 0 < test_len < {curve.n}, got {test_len}"
-        )
+        raise UsageError(f"test length must satisfy 0 < test_len < {curve.n}, got {test_len}")
     cut = curve.n - test_len
-    return SplitCurve(
-        train=curve.slice(0, cut),
-        test=curve.slice(cut, curve.n),
-        policy=f"test_len={test_len}",
-    )
+    return SplitCurve(train=curve.slice(0, cut), test=curve.slice(cut, curve.n), policy=policy)
+
+
+def auto_window_size(train_n: int) -> int:
+    """Default window size: 10% of the training length, floored, at least 3."""
+    return max(3, train_n // 10)
 
 
 def auto_split_len(n: int) -> int:
@@ -252,15 +273,15 @@ def auto_split_len(n: int) -> int:
 
     The window size tracks 10% of the training length while the default test
     length equals the window size, so the two are solved as a fixed point of
-    k -> max(3, (n - k) // 10). When the iteration 2-cycles the smaller value
-    is taken, which keeps more data in training.
+    k -> auto_window_size(n - k). When the iteration 2-cycles the smaller
+    value is taken, which keeps more data in training.
     """
     if n < 2:
         raise DataError(f"curve with {n} points cannot be split")
-    k = max(3, n // 10)
+    k = auto_window_size(n)
     seen: list[int] = []
     while k not in seen:
         seen.append(k)
-        k = max(3, (n - k) // 10)
+        k = auto_window_size(n - k)
     k = min(seen[seen.index(k):])
     return min(k, n - 1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import GrowthCurve
+from .dataset import GrowthCurve, auto_window_size
 from .errors import (
     DegenerateWindowError,
     InsufficientDataError,
@@ -29,11 +29,6 @@ from .errors import (
 from .regression import design_matrix, ols_fit
 
 logger = logging.getLogger(__name__)
-
-
-def auto_window_size(train_n: int) -> int:
-    """Default window size: 10% of the training length, floored, at least 3."""
-    return max(3, train_n // 10)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
+from .dataset import SplitCurve
 from .pipeline import TsarfModel
 from .srgm import SrgmFit, SrgmKind
 
@@ -58,6 +60,12 @@ def srgm_entry(fit: SrgmFit) -> dict:
     if fit.kind is SrgmKind.WEIBULL:
         entry["c"] = fit.params.c
     return entry
+
+
+def run_report(meta: dict, parts: SplitCurve, entries: list[dict]) -> dict:
+    """The run report document: dataset provenance, split, model entries and version."""
+    split = {"train_n": parts.train.n, "test_n": parts.test.n, "policy": parts.policy}
+    return {"dataset": meta, "split": split, "models": entries, "version": __version__}
 
 
 def write_report(report: dict, path: str | Path) -> None:

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 
 import tsarf
 from tsarf import ConvergenceError, FailureTimes
-from tsarf.cli import _poisson_band, main
+from tsarf.cli import main
 from tsarf.report import (
     order_models,
     render_metrics_table,
     render_sweep_table,
+    run_report,
     write_curves_csv,
     write_failure_times,
 )
@@ -178,6 +179,14 @@ def test_simulate_non_finite_horizon_is_one_line_usage_error(tmp_path, capsys, h
     assert not (tmp_path / "sim.txt").exists()
 
 
+def test_simulate_negative_seed_is_one_line_usage_error(tmp_path, capsys):
+    rc = main(["simulate", "--kind", "go", "--a", "5", "--b", "1", "--horizon", "3", "--seed", "-1",
+               "--output", str(tmp_path / "sim.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["usage error: seed must be a non-negative integer, got -1"]
+    assert not (tmp_path / "sim.txt").exists()
+
+
 def test_simulate_and_compare_golden_bytes(tmp_path, capsys):
     sim, curves = tmp_path / "sim.txt", tmp_path / "curves.csv"
     assert main(["simulate", "--kind", "go", "--a", "3000", "--b", "0.004", "--horizon", "600",
@@ -201,20 +210,6 @@ def test_compare_undecodable_file_is_one_line_data_error(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("data error: "), lines
 
 
-def test_poisson_band_equals_scipy_interval():
-    from scipy.stats import poisson
-
-    # At the last two means, an unnormalised pmf from
-    # k log(mean) - mean - lgamma(k + 1) puts an end one count off.
-    grid = np.concatenate([
-        np.logspace(-3, 8, 500),
-        [0.5, 1.0, 7.0, 106_000.0, 1e7, 18_015_200.40802024, 100_000_000.0],
-    ])
-    for mean in grid.tolist():
-        lo, hi = poisson.interval(0.999, mean)
-        assert _poisson_band(mean) == (lo, hi), mean
-
-
 def test_simulate_warns_when_count_leaves_poisson_band(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("tsarf.cli.simulate_nhpp", lambda *args: FailureTimes(np.arange(1.0, 4.0)))
     rc = main(
@@ -222,7 +217,7 @@ def test_simulate_warns_when_count_leaves_poisson_band(tmp_path, capsys, monkeyp
          "--output", str(tmp_path / "sim.txt")]
     )
     assert rc == 0
-    lo, hi = _poisson_band(tsarf.mvf(tsarf.SrgmKind.GO, tsarf.SrgmParams(100, 0.1), 50.0))
+    lo, hi = tsarf.srgm.poisson_band(tsarf.mvf(tsarf.SrgmKind.GO, tsarf.SrgmParams(100, 0.1), 50.0))
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("warning: realized count 3 falls outside")
@@ -256,6 +251,18 @@ def test_compare_bad_test_len_exits_1(line_file, capsys):
     rc = main(["compare", str(line_file), "--test-len", "0"])
     assert rc == 1
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["compare"], ["fit", "--model", "tsarf"], ["sweep", "--param", "window", "--values", "3,4"],
+])
+def test_test_len_with_test_fraction_exits_1(tmp_path, line_file, capsys, command):
+    rc = main([*command, str(line_file), "--test-len", "5", "--test-fraction", "0.2",
+               "--output", str(tmp_path / "out")])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error: "), lines
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_unknown_model_exits_1(line_file, capsys):
@@ -386,6 +393,15 @@ def test_compare_report_keys_match_readme_schema(tmp_path, go_file):
         else:
             weibull = {"c"} if entry["model"] == "weibull" else set()
             assert set(entry["srgm"]) == srgm_keys | weibull
+
+
+def test_run_report_has_readme_top_level_keys(line_curve):
+    parts = tsarf.split(line_curve(20), 4)
+    meta = {"path": "x.txt", "format": "times", "n": 20, "required_sorting": False}
+    report = run_report(meta, parts, [])
+    assert set(report) == {"dataset", "split", "models", "version"}
+    assert report["split"] == {"train_n": 16, "test_n": 4, "policy": "test_len=4"}
+    assert (report["dataset"], report["models"], report["version"]) == (meta, [], tsarf.__version__)
 
 
 def test_reports_deterministic(tmp_path, go_file):

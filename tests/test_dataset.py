@@ -125,6 +125,46 @@ def test_split_partition_restores_curve(n, data):
     assert np.array_equal(np.concatenate([parts.train.counts, parts.test.counts]), curve.counts)
 
 
+@pytest.mark.parametrize(("kwargs", "test_n", "policy"), [
+    ({"test_len": 4}, 4, "test_len=4"),
+    ({"test_len": 4, "k": 6}, 4, "test_len=4"),
+    ({"test_fraction": 0.25}, 10, "fraction=0.25 (test_len=10)"),
+    ({"test_fraction": 0.25, "k": 6}, 10, "fraction=0.25 (test_len=10)"),
+    ({"test_fraction": 0.001}, 1, "fraction=0.001 (test_len=1)"),
+    ({"test_fraction": 0.999}, 39, "fraction=0.999 (test_len=39)"),
+    ({"k": 6}, 6, "test_len=k=6"),
+    ({}, 3, "auto (test_len=3)"),
+])
+def test_split_policy_and_precedence(line_curve, kwargs, test_n, policy):
+    # test_len > test_fraction > k > auto
+    parts = split(line_curve(40), **kwargs)
+    assert (parts.train.n, parts.test.n, parts.policy) == (40 - test_n, test_n, policy)
+
+
+def test_split_rejects_test_len_with_test_fraction(line_curve):
+    with pytest.raises(UsageError, match="^give a test length or a test fraction, not both$"):
+        split(line_curve(40), 4, test_fraction=0.25)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5, float("nan")])
+def test_split_rejects_fraction_outside_unit_interval(line_curve, fraction):
+    with pytest.raises(UsageError) as exc:
+        split(line_curve(40), test_fraction=fraction)
+    assert str(exc.value) == f"test fraction must lie in (0, 1), got {fraction}"
+
+
+@pytest.mark.parametrize(("n", "kwargs", "got"), [
+    (20, {"test_len": 20}, 20),
+    (20, {"k": 25}, 25),
+    (1, {"test_fraction": 0.5}, 0),  # no fraction leaves a point in each partition
+])
+def test_split_out_of_range_message(n, kwargs, got):
+    curve = GrowthCurve(np.arange(1.0, n + 1), np.arange(1.0, n + 1))
+    with pytest.raises(UsageError) as exc:
+        split(curve, **kwargs)
+    assert str(exc.value) == f"test length must satisfy 0 < test_len < {n}, got {got}"
+
+
 def test_auto_split_len_matches_protocol():
     # joint fixed point of split length and 10%-of-training window size
     assert auto_split_len(104) == 9
@@ -164,6 +204,21 @@ def test_read_curve_file_sniffs_format(tmp_path):
     curve, meta = read_curve_file(csv_file)
     assert meta["format"] == "curve"
     assert curve.counts.tolist() == [3.0, 7.0]
+
+
+@pytest.mark.parametrize(("text", "fmt"), [
+    ("0.55\n1.25\n2.0\n", "times"),
+    ("# caf\u00e9 log\n0.55\n1.25\n2.0\n", "times"),
+    ("time,count\n0.55,1\n1.25,2\n2.0,3\n", "curve"),
+])
+def test_read_curve_file_skips_utf8_byte_order_mark(tmp_path, text, fmt):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(text.encode("utf-8-sig"))
+    (curve, meta), (want, want_meta) = read_curve_file(marked), read_curve_file(plain)
+    assert meta["format"] == want_meta["format"] == fmt
+    assert curve.times.tolist() == want.times.tolist() == [0.55, 1.25, 2.0]
+    assert curve.counts.tolist() == want.counts.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_read_curve_file_missing(tmp_path):

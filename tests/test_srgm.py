@@ -372,6 +372,10 @@ class TestSimulate:
         with pytest.raises(UsageError):
             simulate_nhpp(SrgmKind.GO, self.params, horizon=0.0, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(UsageError, match="^seed must be a non-negative integer, got -1$"):
+            simulate_nhpp(SrgmKind.GO, self.params, horizon=25.0, seed=-1)
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from(list(SrgmKind)),
@@ -402,6 +406,20 @@ class TestSimulate:
             below += int(np.sum(ft.times <= t_half))
             total += len(ft)
         assert below / total == pytest.approx(expected, abs=0.02)
+
+
+def test_poisson_band_equals_scipy_interval():
+    from scipy.stats import poisson
+
+    # At the last two means, an unnormalised pmf from
+    # k log(mean) - mean - lgamma(k + 1) puts an end one count off.
+    grid = np.concatenate([
+        np.logspace(-3, 8, 500),
+        [0.5, 1.0, 7.0, 106_000.0, 1e7, 18_015_200.40802024, 100_000_000.0],
+    ])
+    for mean in grid.tolist():
+        lo, hi = poisson.interval(0.999, mean)
+        assert srgm.poisson_band(mean) == (lo, hi), mean
 
 
 def test_kind_labels():
