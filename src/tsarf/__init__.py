@@ -36,7 +36,6 @@ from .metrics import evaluate_model, pmse, pp, prr
 from .pipeline import (
     CoefficientHistory,
     StageTwoFit,
-    TsarfConfig,
     TsarfModel,
     apply_moving_average,
     error_correct,
@@ -83,7 +82,6 @@ __all__ = [
     "pmse",
     "prr",
     "pp",
-    "TsarfConfig",
     "TsarfModel",
     "CoefficientHistory",
     "StageTwoFit",

@@ -20,13 +20,8 @@ import numpy as np
 from . import __version__
 from .dataset import GrowthCurve, SplitCurve, read_curve_file, split
 from .errors import ConvergenceError, DataError, TsarfError, UsageError
-from .metrics import evaluate_model, pmse
-from .pipeline import (
-    TsarfConfig,
-    predicted_line,
-    tsarf_forecast,
-    window_fitted_values,
-)
+from .metrics import evaluate_model
+from .pipeline import predicted_line, tsarf_forecast, window_fitted_values
 from .report import (
     MODEL_LABELS,
     order_models,
@@ -50,6 +45,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(value: int, what: str, minimum: int) -> int:
+    if value < minimum:
+        raise UsageError(f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
 def _parse_auto_int(value: str, what: str, minimum: int) -> int | None:
     if value.strip().lower() == "auto":
         return None
@@ -57,9 +58,7 @@ def _parse_auto_int(value: str, what: str, minimum: int) -> int | None:
         parsed = int(value)
     except ValueError:
         raise UsageError(f"{what} must be an integer or 'auto', got {value!r}") from None
-    if parsed < minimum:
-        raise UsageError(f"{what} must be >= {minimum}, got {parsed}")
-    return parsed
+    return _at_least(parsed, what, minimum)
 
 
 def _parse_models(raw: str) -> list[str]:
@@ -73,7 +72,7 @@ def _parse_models(raw: str) -> list[str]:
     return order_models(models)
 
 
-def _parse_values(raw: str) -> list[int]:
+def _parse_values(raw: str, what: str, minimum: int) -> list[int]:
     raw = raw.strip()
     try:
         if ".." in raw:
@@ -85,7 +84,7 @@ def _parse_values(raw: str) -> list[int]:
         raise UsageError(f"cannot parse value range {raw!r}; use 'a..b' or 'a,b,c'") from None
     if not values:
         raise UsageError("value range is empty")
-    return values
+    return [_at_least(value, what, minimum) for value in values]
 
 
 def _resolve_output(path: str | Path) -> Path:
@@ -110,7 +109,7 @@ def _run_models(
         entries.append(entry)
         try:
             if name == "tsarf":
-                model = tsarf_forecast(parts.train, TsarfConfig(k=k, d=d))
+                model = tsarf_forecast(parts.train, k, d)
                 pred_test = predicted_line(model, parts.test.times)
                 predictions[name] = np.concatenate(
                     [window_fitted_values(model, parts.train), pred_test]
@@ -130,15 +129,14 @@ def _run_models(
     return entries, predictions
 
 
-def _run_and_report(args, models: str) -> tuple[GrowthCurve, SplitCurve, list[dict], dict[str, np.ndarray]]:
+def _run_and_report(args, models: list[str]) -> tuple[GrowthCurve, SplitCurve, list[dict], dict[str, np.ndarray]]:
     """Read, split and run the models of ``compare`` or ``fit``, then write the run report."""
     curve, meta = read_curve_file(args.input)
     k = _parse_auto_int(args.window_size, "window size", 3)
     parts = split(curve, args.test_len, test_fraction=args.test_fraction, k=k)
-    names = _parse_models(models)
     d = _parse_auto_int(args.ma, "moving-average length", 1)
 
-    entries, predictions = _run_models(curve, parts, names, k, d)
+    entries, predictions = _run_models(curve, parts, models, k, d)
     write_report(run_report(meta, parts, entries), _resolve_output(args.output))
     return curve, parts, entries, predictions
 
@@ -154,7 +152,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = _parse_values(args.values)
+    what, minimum = ("window size", 3) if args.param == "window" else ("moving-average length", 1)
+    values = _parse_values(args.values, what, minimum)
+    # split would reject these in every cell
+    if args.test_len is not None:
+        _at_least(args.test_len, "test length", 1)
+    if args.test_fraction is not None and not 0 < args.test_fraction < 1:
+        raise UsageError(f"test fraction must lie in (0, 1), got {args.test_fraction}")
     # a column is headed by its file stem, or by the path as given when
     # another input shares that stem
     stems = [Path(path).stem for path in args.inputs]
@@ -169,10 +173,10 @@ def cmd_sweep(args) -> int:
         row = [str(value)]
         for name, curve in datasets:
             try:
-                config = TsarfConfig(k=cell_k, d=cell_d)  # rejects k < 3 before the split uses it
                 parts = split(curve, args.test_len, test_fraction=args.test_fraction, k=cell_k)
-                model = tsarf_forecast(parts.train, config)
-                row.append(f"{pmse(predicted_line(model, parts.test.times), parts.test.counts):.6g}")
+                model = tsarf_forecast(parts.train, cell_k, cell_d)
+                metrics = evaluate_model(predicted_line(model, parts.test.times), parts.test.counts)
+                row.append(f"{metrics['pmse']:.6g}")
             except TsarfError as exc:
                 row.append("error")
                 print(f"warning: {args.param}={value} on {name}: {exc}", file=sys.stderr)
@@ -209,6 +213,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if len(args.model) != 1:
+        raise UsageError(f"fit takes one model, got {len(args.model)}")
     _, _, entries, _ = _run_and_report(args, args.model)
     entry = entries[0]
     if entry["status"] != "ok":
@@ -222,7 +228,7 @@ def cmd_fit(args) -> int:
     else:
         info = entry["srgm"]
         extra = f" c={info['c']:.6g}" if "c" in info else ""
-        print(f"{args.model}: a={info['a']:.6g} b={info['b']:.6g}{extra} sse={info['sse']:.6g}")
+        print(f"{entry['model']}: a={info['a']:.6g} b={info['b']:.6g}{extra} sse={info['sse']:.6g}")
     print(render_metrics_table(entries))
     return 0
 
@@ -249,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="fit several models and score them on the test partition")
     p.add_argument("input", help="failure-times file (format A) or time,count CSV (format B)")
-    p.add_argument("--models", default="tsarf,go,dss,weibull", help="comma-separated model list")
+    p.add_argument("--models", type=_parse_models, default="tsarf,go,dss,weibull", help="comma-separated model list")
     add_model_options(p)
     add_split_options(p)
     p.add_argument("--output", default="report.json", help="structured run report path")
@@ -277,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a single model and print its parameters and metrics")
     p.add_argument("input")
-    p.add_argument("--model", required=True, choices=list(MODEL_LABELS))
+    p.add_argument("--model", type=_parse_models, required=True, help="one of " + ", ".join(MODEL_LABELS))
     add_model_options(p)
     add_split_options(p)
     p.add_argument("--output", default="report.json", help="structured run report path")

@@ -32,24 +32,6 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class TsarfConfig:
-    """Pipeline knobs. ``None`` selects the automatic policy.
-
-    k: points per window (>= 3). Auto: max(3, train_n // 10).
-    d: moving-average length (1 <= d <= W - 1). Auto: least holdout MSE.
-    """
-
-    k: int | None = None
-    d: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.k is not None and self.k < 3:
-            raise UsageError(f"window size k must be >= 3, got {self.k}")
-        if self.d is not None and self.d < 1:
-            raise UsageError(f"moving-average length d must be >= 1, got {self.d}")
-
-
-@dataclass(frozen=True)
 class CoefficientHistory:
     """Per-window line coefficients: row w holds (intercept, slope) of window w,
     which covers training indices n_dropped + w*k up to, not including,
@@ -218,18 +200,20 @@ def window_fitted_values(model: TsarfModel, train: GrowthCurve) -> np.ndarray:
     return fitted
 
 
-def tsarf_forecast(train: GrowthCurve, config: TsarfConfig | None = None) -> TsarfModel:
-    """Run the full three-stage pipeline on a training curve."""
-    config = config or TsarfConfig()
-    k = config.k if config.k is not None else auto_window_size(train.n)
-    history = fit_windows(train, k)
+def tsarf_forecast(train: GrowthCurve, k: int | None = None, d: int | None = None) -> TsarfModel:
+    """Run the full three-stage pipeline on a training curve.
 
-    if config.d is None:
+    k is the number of points per window and d the moving-average length;
+    ``None`` picks k = max(3, train.n // 10) and the d with the least holdout
+    MSE. ``fit_windows`` rejects k < 3 and ``apply_moving_average`` a d
+    outside 1..W-1.
+    """
+    history = fit_windows(train, auto_window_size(train.n) if k is None else k)
+    d_auto = d is None
+    if d_auto:
         d, candidates, fallback = select_ma_length(history, train)
-        d_auto = True
     else:
-        d, candidates, fallback = config.d, (), False
-        d_auto = False
+        candidates, fallback = (), False
 
     stage2, raw = forecast_coefficients(history)
     corrected, epsilon = error_correct(raw, stage2, history)

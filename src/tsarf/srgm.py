@@ -121,11 +121,15 @@ def _mvf(kind: SrgmKind, a, b, c, t):
 
 
 def mvf(kind: SrgmKind, params: SrgmParams, t):
-    """Expected cumulative faults by time t (scalar or array, t >= 0)."""
+    """Expected cumulative faults by time t (scalar or array, t >= 0).
+
+    Extreme parameters overflow to inf, or to NaN where DSS meets inf * 0,
+    without a warning."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise UsageError("mean value function is defined for t >= 0 only")
-    out = _mvf(kind, params.a, params.b, params.c, t_arr.reshape(-1)).reshape(t_arr.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _mvf(kind, params.a, params.b, params.c, t_arr.reshape(-1)).reshape(t_arr.shape)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
@@ -320,6 +324,8 @@ def simulate_nhpp(
     if not (np.isfinite(horizon) and horizon > 0):
         raise UsageError(f"horizon must be positive and finite, got {horizon}")
     total = mvf(kind, params, horizon)
+    if not np.isfinite(total):
+        raise UsageError(f"mean value at the horizon is {total:g}; the parameters are too extreme to simulate")
     if total <= 1e-12:
         raise DegenerateDataError(
             f"mean value at the horizon is {total:g}; intensity is degenerate"
@@ -338,11 +344,12 @@ def simulate_nhpp(
     lo = np.zeros(count)
     hi = np.full(count, float(horizon))
     tol = 1e-9 * horizon
-    while np.max(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        below = _mvf(kind, params.a, params.b, params.c, mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.max(hi - lo) > tol:
+            mid = 0.5 * (lo + hi)
+            below = _mvf(kind, params.a, params.b, params.c, mid) < target
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
     return FailureTimes(np.sort(0.5 * (lo + hi)))
 
 

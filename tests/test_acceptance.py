@@ -16,7 +16,6 @@ from tsarf import (
     GrowthCurve,
     SrgmKind,
     SrgmParams,
-    TsarfConfig,
     design_matrix,
     error_correct,
     fit_srgm,
@@ -52,7 +51,7 @@ def test_criterion_01_exact_line_fixed_point():
                 continue
             max_d = parts.train.n // k - 1
             for d in [None, 1, max_d]:
-                model = tsarf_forecast(parts.train, TsarfConfig(k=k, d=d))
+                model = tsarf_forecast(parts.train, k=k, d=d)
                 assert model.coefficients == pytest.approx([1.0, 2.0], abs=1e-9)
                 pred = predicted_line(model, parts.test.times)
                 assert pmse(pred, parts.test.counts) < 1e-9
@@ -143,7 +142,7 @@ def test_criterion_07_changepoint_advantage():
     for i in range(100):
         curve = make_changepoint_curve(np.random.default_rng(10_000 + i), n=60)
         parts = split(curve, 5)
-        model = tsarf_forecast(parts.train, TsarfConfig())
+        model = tsarf_forecast(parts.train)
         tsarf_pmse = pmse(predicted_line(model, parts.test.times), parts.test.counts)
         go = fit_srgm(parts.train, SrgmKind.GO)
         go_pmse = pmse(srgm_predict(go, parts.test.times), parts.test.counts)

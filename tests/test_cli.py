@@ -187,6 +187,27 @@ def test_simulate_negative_seed_is_one_line_usage_error(tmp_path, capsys):
     assert not (tmp_path / "sim.txt").exists()
 
 
+@pytest.mark.parametrize("params", [
+    ["--kind", "weibull", "--a", "10", "--b", "1", "--c", "1e308", "--horizon", "2"],
+    ["--kind", "go", "--a", "10", "--b", "1e300", "--horizon", "1e10"],
+])
+def test_simulate_overflowing_mean_value_prints_no_warning(tmp_path, capsys, params):
+    assert main(["simulate", *params, "--output", str(tmp_path / "sim.txt")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("wrote ")
+
+
+def test_simulate_nan_mean_value_is_one_line_usage_error(tmp_path, capsys):
+    rc = main(["simulate", "--kind", "dss", "--a", "10", "--b", "1e300", "--horizon", "1e10",
+               "--output", str(tmp_path / "sim.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: mean value at the horizon is nan; the parameters are too extreme to simulate"
+    ]
+    assert not (tmp_path / "sim.txt").exists()
+
+
 def test_simulate_and_compare_golden_bytes(tmp_path, capsys):
     sim, curves = tmp_path / "sim.txt", tmp_path / "curves.csv"
     assert main(["simulate", "--kind", "go", "--a", "3000", "--b", "0.004", "--horizon", "600",
@@ -263,6 +284,34 @@ def test_test_len_with_test_fraction_exits_1(tmp_path, line_file, capsys, comman
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("usage error: "), lines
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(("param", "values", "message"), [
+    ("window", "0,1,2,3", "window size must be >= 3, got 0"),
+    ("window", "10,4,2", "window size must be >= 3, got 2"),
+    ("ma", "0..3", "moving-average length must be >= 1, got 0"),
+])
+def test_sweep_value_below_minimum_exits_1(tmp_path, line_file, capsys, param, values, message):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", str(line_file), "--param", param, "--values", values, "--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(("option", "message"), [
+    (["--test-fraction", "1.5"], "test fraction must lie in (0, 1), got 1.5"),
+    (["--test-fraction", "0"], "test fraction must lie in (0, 1), got 0.0"),
+    (["--test-fraction", "nan"], "test fraction must lie in (0, 1), got nan"),
+    (["--test-len", "0"], "test length must be >= 1, got 0"),
+    (["--test-len", "-3"], "test length must be >= 1, got -3"),
+])
+def test_sweep_impossible_split_option_exits_1(tmp_path, line_file, capsys, option, message):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", str(line_file), "--param", "window", "--values", "3,10", *option, "--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+    assert not out.exists()
 
 
 def test_compare_unknown_model_exits_1(line_file, capsys):
@@ -676,6 +725,28 @@ def test_fit_single_srgm(tmp_path, go_file, capsys):
     out = capsys.readouterr().out
     assert "a=" in out and "b=" in out
     assert "GO" in out
+
+
+def test_fit_model_name_parses_like_compare_models(tmp_path, go_file, capsys):
+    """``fit --model GO`` runs and prints what ``--model go`` prints."""
+    capsys.readouterr()
+    runs = []
+    for name, report in (("go", "lower.json"), ("GO", "upper.json"), (" Go ", "spaced.json")):
+        assert main(["fit", str(go_file), "--model", name, "--output", str(tmp_path / report)]) == 0
+        runs.append((capsys.readouterr(), (tmp_path / report).read_bytes()))
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][0].out.startswith("go: a=")
+
+
+@pytest.mark.parametrize(("model", "message"), [
+    ("go,dss", "fit takes one model, got 2"),
+    ("arima", "unknown model 'arima'; expected subset of tsarf,dss,go,weibull"),
+])
+def test_fit_needs_exactly_one_known_model(tmp_path, line_file, capsys, model, message):
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(line_file), "--model", model, "--output", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+    assert not out.exists()
 
 
 def test_fit_tsarf_prints_line(tmp_path, line_file, capsys):

@@ -9,7 +9,6 @@ from tsarf import (
     DegenerateWindowError,
     GrowthCurve,
     InsufficientDataError,
-    TsarfConfig,
     UsageError,
     apply_moving_average,
     auto_window_size,
@@ -295,7 +294,7 @@ class TestSelectMaLength:
 
 class TestForecastEndToEnd:
     def test_predicted_line_hand_values(self, line_curve):
-        model = tsarf_forecast(line_curve(20), TsarfConfig(k=5, d=1))
+        model = tsarf_forecast(line_curve(20), k=5, d=1)
         assert predicted_line(model, [3.0]) == pytest.approx([7.0], abs=1e-9)
 
     def test_exact_line_all_configs(self, line_curve):
@@ -304,33 +303,43 @@ class TestForecastEndToEnd:
         for k in (3, 5, 8):
             max_d = parts.train.n // k - 1
             for d in [None, *range(1, max_d + 1)]:
-                model = tsarf_forecast(parts.train, TsarfConfig(k=k, d=d))
+                model = tsarf_forecast(parts.train, k=k, d=d)
                 assert model.coefficients == pytest.approx([1.0, 2.0], abs=1e-9)
                 pred = predicted_line(model, parts.test.times)
                 assert pmse(pred, parts.test.counts) < 1e-9
 
     def test_deterministic(self):
         curve = make_changepoint_curve(np.random.default_rng(5))
-        a = tsarf_forecast(curve, TsarfConfig())
-        b = tsarf_forecast(curve, TsarfConfig())
+        a = tsarf_forecast(curve)
+        b = tsarf_forecast(curve)
         assert np.array_equal(a.coefficients, b.coefficients)
         assert np.array_equal(a.epsilon, b.epsilon)
         assert np.array_equal(a.history.matrix, b.history.matrix)
         assert a.d_used == b.d_used and a.history.k == b.history.k
         assert a.ma_candidates == b.ma_candidates
 
+    @pytest.mark.parametrize(("k", "d", "message"), [
+        (2, None, "window size k must be >= 3, got 2"),
+        (5, 0, "moving-average length d must be in 1..3, got 0"),
+        (5, 4, "moving-average length d must be in 1..3, got 4"),
+    ])
+    def test_stage_rejects_its_out_of_range_value(self, line_curve, k, d, message):
+        with pytest.raises(UsageError) as exc:
+            tsarf_forecast(line_curve(20), k=k, d=d)
+        assert str(exc.value) == message
+
     def test_auto_window_size_policy(self):
         assert auto_window_size(95) == 9
         assert auto_window_size(12) == 3
 
     def test_auto_d_fallback_with_two_windows(self, line_curve):
-        model = tsarf_forecast(line_curve(10), TsarfConfig(k=5))
+        model = tsarf_forecast(line_curve(10), k=5)
         assert model.d_used == 1
         assert model.d_fallback
 
     def test_window_fitted_values_cover_windows_only(self, line_curve):
         curve = line_curve(22)
-        model = tsarf_forecast(curve, TsarfConfig(k=5, d=1))
+        model = tsarf_forecast(curve, k=5, d=1)
         fitted = window_fitted_values(model, curve)
         assert np.isnan(fitted[:2]).all()
         assert fitted[2:] == pytest.approx(curve.counts[2:], abs=1e-9)
@@ -338,7 +347,7 @@ class TestForecastEndToEnd:
     @pytest.mark.parametrize(("n", "k"), [(22, 5), (157, 10), (3002, 3), (4500, 3)])
     def test_window_fitted_values_equal_per_window_loop_bitwise(self, n, k):
         curve = make_changepoint_curve(np.random.default_rng(n), n=n)
-        model = tsarf_forecast(curve, TsarfConfig(k=k, d=1))
+        model = tsarf_forecast(curve, k=k, d=1)
         # the per-window loop the reshape replaced
         expected = np.full(n, np.nan)
         for w, (b0, b1) in enumerate(model.history.matrix):
@@ -352,7 +361,7 @@ class TestForecastEndToEnd:
 
         curve = make_changepoint_curve(np.random.default_rng(123), n=60)
         parts = split(curve, 5)
-        model = tsarf_forecast(parts.train, TsarfConfig())
+        model = tsarf_forecast(parts.train)
         tsarf_pmse = pmse(predicted_line(model, parts.test.times), parts.test.counts)
         go = fit_srgm(parts.train, SrgmKind.GO)
         go_pmse = pmse(srgm_predict(go, parts.test.times), parts.test.counts)

@@ -368,6 +368,12 @@ class TestSimulate:
         with pytest.raises(DegenerateDataError):
             simulate_nhpp(SrgmKind.GO, SrgmParams(a=1e-14, b=1e-9), horizon=1e-6, seed=0)
 
+    def test_non_finite_mean_value_rejected(self):
+        # b*t overflows to inf and DSS's (1 + inf) * exp(-inf) is NaN, silently
+        assert np.isnan(mvf(SrgmKind.DSS, SrgmParams(a=10.0, b=1e300), 1e10))
+        with pytest.raises(UsageError, match="^mean value at the horizon is nan; "):
+            simulate_nhpp(SrgmKind.DSS, SrgmParams(a=10.0, b=1e300), horizon=1e10, seed=0)
+
     def test_invalid_horizon(self):
         with pytest.raises(UsageError):
             simulate_nhpp(SrgmKind.GO, self.params, horizon=0.0, seed=0)
