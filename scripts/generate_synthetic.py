@@ -47,10 +47,9 @@ def main() -> None:
     )
 
     params = SrgmParams(a=float(args.n * 1.2), b=0.004)
-    sample = simulate_nhpp(SrgmKind.GO, params, horizon=600.0, seed=args.seed)
     write_times(
         outdir / "go_sim.txt",
-        sample.times,
+        simulate_nhpp(SrgmKind.GO, params, horizon=600.0, seed=args.seed),
         f"goel-okumoto sample path, a={params.a} b={params.b} seed={args.seed}",
     )
 

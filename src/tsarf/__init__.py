@@ -10,7 +10,6 @@ baselines, scored side by side with predictive metrics.
 __version__ = "0.1.0"
 
 from .dataset import (
-    FailureTimes,
     GrowthCurve,
     SplitCurve,
     auto_split_len,
@@ -19,7 +18,6 @@ from .dataset import (
     load_growth_curve_csv,
     read_curve_file,
     split,
-    to_growth_curve,
 )
 from .errors import (
     ConvergenceError,
@@ -59,7 +57,6 @@ from .srgm import (
 
 __all__ = [
     "__version__",
-    "FailureTimes",
     "GrowthCurve",
     "SplitCurve",
     "auto_split_len",
@@ -68,7 +65,6 @@ __all__ = [
     "load_growth_curve_csv",
     "read_curve_file",
     "split",
-    "to_growth_curve",
     "TsarfError",
     "UsageError",
     "DataError",

@@ -197,7 +197,7 @@ def cmd_simulate(args) -> int:
         f"simulated {kind.value} failure times",
         f"a={args.a} b={args.b} c={args.c} horizon={args.horizon} seed={args.seed}",
     ]
-    write_failure_times(path, header, times.times)
+    write_failure_times(path, header, times)
 
     total = mvf(kind, params, args.horizon)
     lo, hi = poisson_band(total)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -24,23 +24,6 @@ logger = logging.getLogger(__name__)
 
 #: Lines parsed at a time, which bounds the strings held at once.
 _BLOCK_LINES = 8192
-
-
-@dataclass(frozen=True)
-class FailureTimes:
-    """Times at which individual failures were discovered, sorted ascending.
-
-    ``required_sorting`` records whether the raw input had to be reordered.
-    """
-
-    times: np.ndarray
-    required_sorting: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-
-    def __len__(self) -> int:
-        return int(self.times.size)
 
 
 @dataclass(frozen=True)
@@ -74,9 +57,6 @@ class GrowthCurve:
     def n(self) -> int:
         return int(self.times.size)
 
-    def __len__(self) -> int:
-        return self.n
-
     def slice(self, start: int, stop: int) -> "GrowthCurve":
         return GrowthCurve(self.times[start:stop], self.counts[start:stop])
 
@@ -106,12 +86,14 @@ def _parse_prefix(texts: list[str]) -> np.ndarray:
         return np.fromiter(map(float, texts[:n]), float, n)
 
 
-def load_failure_times(source: TextIO | Iterable[str]) -> FailureTimes:
-    """Parse newline-delimited failure times.
+def load_failure_times(source: TextIO | Iterable[str]) -> tuple[GrowthCurve, bool]:
+    """Parse newline-delimited failure times into a growth curve.
 
-    Blank lines and lines starting with ``#`` are ignored. Unsorted input is
-    sorted with a warning; negative, non-finite, or non-numeric entries are
-    rejected with the number of the first offending line.
+    Point i of the curve is (i-th smallest time, i), i = 1..n. Blank lines and
+    lines starting with ``#`` are ignored. Unsorted input is sorted with a
+    warning, and the returned flag says whether it had to be; negative,
+    non-finite, or non-numeric entries are rejected with the number of the
+    first offending line.
     """
     blocks = []
     lines_before = 0
@@ -159,29 +141,30 @@ def load_failure_times(source: TextIO | Iterable[str]) -> FailureTimes:
     if required_sorting:
         logger.warning("failure times were not sorted; sorting %d entries", arr.size)
         arr = np.sort(arr)
-    return FailureTimes(arr, required_sorting=required_sorting)
-
-
-def to_growth_curve(ft: FailureTimes) -> GrowthCurve:
-    """Cumulative curve with point i = (times[i], i), i = 1..n."""
-    n = len(ft)
-    if n == 0:
-        raise DataError("cannot build a growth curve from zero failure times")
-    return GrowthCurve(ft.times, np.arange(1, n + 1, dtype=float))
+    return GrowthCurve(arr, np.arange(1, arr.size + 1, dtype=float)), required_sorting
 
 
 def load_growth_curve_csv(source: TextIO | Iterable[str]) -> GrowthCurve:
-    """Parse a format-B CSV: header ``time,count``, counts strictly increasing."""
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty CSV input") from None
+    """Parse a format-B CSV: header ``time,count``, counts strictly increasing.
+
+    Blank lines and lines starting with ``#`` before the header are skipped.
+    """
+    source = iter(source)
+    header_lineno = 1
+    for line in source:
+        if (s := line.strip()) and s[0] != "#":
+            break
+        header_lineno += 1
+    else:
+        raise DataError("empty CSV input")
+    reader = csv.reader(chain([line], source))
+    header = next(reader)
     if [h.strip().lower() for h in header] != ["time", "count"]:
         raise DataError(f"expected CSV header 'time,count', got {','.join(header)!r}")
     times: list[float] = []
     counts: list[float] = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
+        lineno = header_lineno - 1 + reader.line_num  # a quoted field may span lines
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:
@@ -221,8 +204,7 @@ def read_curve_file(path: str | Path) -> tuple[GrowthCurve, dict]:
             if first.lower().replace(" ", "").startswith("time,count"):
                 curve, fmt, required_sorting = load_growth_curve_csv(handle), "curve", False
             else:
-                ft = load_failure_times(handle)
-                curve, fmt, required_sorting = to_growth_curve(ft), "times", ft.required_sorting
+                (curve, required_sorting), fmt = load_failure_times(handle), "times"
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     meta = {

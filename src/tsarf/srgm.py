@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FailureTimes, GrowthCurve
+from .dataset import GrowthCurve
 from .errors import (
     ConvergenceError,
     DegenerateDataError,
@@ -308,8 +308,8 @@ def srgm_predict(fit: SrgmFit, times) -> np.ndarray:
 
 def simulate_nhpp(
     kind: SrgmKind, params: SrgmParams, horizon: float, seed: int
-) -> FailureTimes:
-    """Draw one NHPP sample path on [0, horizon].
+) -> np.ndarray:
+    """Draw one NHPP sample path on [0, horizon]: its event times, sorted.
 
     The event count is Poisson with mean mvf(horizon); event times are i.i.d.
     with CDF mvf(t)/mvf(horizon), inverted by bisection to 1e-9 * horizon.
@@ -333,16 +333,18 @@ def simulate_nhpp(
     if seed < 0:  # numpy's generator rejects it with a ValueError
         raise UsageError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
+    # numpy refuses a huge mean or array size (ValueError), or cannot allocate
+    # the arrays (MemoryError)
     try:
         count = int(rng.poisson(total))
         target = rng.uniform(size=count) * total
-    except ValueError:  # numpy refuses the mean or the array size before allocating
+        lo = np.zeros(count)
+        hi = np.full(count, float(horizon))
+    except (ValueError, MemoryError):
         raise UsageError(f"expected failure count {total:g} is too large to simulate") from None
     if count == 0:
-        return FailureTimes(np.empty(0))
+        return np.empty(0)
     target.sort()
-    lo = np.zeros(count)
-    hi = np.full(count, float(horizon))
     tol = 1e-9 * horizon
     with np.errstate(over="ignore", invalid="ignore"):
         while np.max(hi - lo) > tol:
@@ -350,7 +352,7 @@ def simulate_nhpp(
             below = _mvf(kind, params.a, params.b, params.c, mid) < target
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
-    return FailureTimes(np.sort(0.5 * (lo + hi)))
+    return np.sort(0.5 * (lo + hi))
 
 
 def poisson_band(mean: float) -> tuple[int, int]:

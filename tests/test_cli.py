@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tsarf
-from tsarf import ConvergenceError, FailureTimes
+from tsarf import ConvergenceError
 from tsarf.cli import main
 from tsarf.report import (
     order_models,
@@ -169,6 +169,32 @@ def test_simulate_huge_mean_is_one_line_usage_error(tmp_path, capsys, a):
     assert not (tmp_path / "sim.txt").exists()
 
 
+class _NoMemoryGenerator:
+    """numpy's generator, except that drawing the event times cannot allocate."""
+
+    def __init__(self, seed, default_rng=np.random.default_rng):
+        self._rng = default_rng(seed)
+
+    def poisson(self, lam):
+        return self._rng.poisson(lam)
+
+    def uniform(self, size):
+        raise MemoryError
+
+
+def test_simulate_unallocatable_count_is_one_line_usage_error(tmp_path, capsys, monkeypatch):
+    # numpy raises MemoryError rather than ValueError for counts of about
+    # 1e10 to 1e18; the stub stands in so that nothing that large is allocated
+    monkeypatch.setattr("tsarf.srgm.np.random.default_rng", _NoMemoryGenerator)
+    rc = main(["simulate", "--kind", "go", "--a", "1e12", "--b", "1", "--horizon", "100",
+               "--output", str(tmp_path / "sim.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: expected failure count 1e+12 is too large to simulate"
+    ]
+    assert not (tmp_path / "sim.txt").exists()
+
+
 @pytest.mark.parametrize("horizon", ["inf", "nan"])
 def test_simulate_non_finite_horizon_is_one_line_usage_error(tmp_path, capsys, horizon):
     rc = main(["simulate", "--kind", "go", "--a", "5", "--b", "1", "--horizon", horizon,
@@ -232,7 +258,7 @@ def test_compare_undecodable_file_is_one_line_data_error(tmp_path, capsys):
 
 
 def test_simulate_warns_when_count_leaves_poisson_band(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("tsarf.cli.simulate_nhpp", lambda *args: FailureTimes(np.arange(1.0, 4.0)))
+    monkeypatch.setattr("tsarf.cli.simulate_nhpp", lambda *args: np.arange(1.0, 4.0))
     rc = main(
         ["simulate", "--kind", "go", "--a", "100", "--b", "0.1", "--horizon", "50",
          "--output", str(tmp_path / "sim.txt")]
@@ -247,7 +273,7 @@ def test_simulate_warns_when_count_leaves_poisson_band(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("times", [[], [0.125, 1 / 3, 2.0, 1e-320, 123456789.0123]])
 def test_simulate_file_bytes(tmp_path, monkeypatch, times):
-    monkeypatch.setattr("tsarf.cli.simulate_nhpp", lambda *args: FailureTimes(np.array(times)))
+    monkeypatch.setattr("tsarf.cli.simulate_nhpp", lambda *args: np.array(times, dtype=float))
     path = tmp_path / "sim.txt"
     args = ["--a", "5", "--b", "0.1", "--horizon", "50", "--seed", "4"]
     assert main(["simulate", "--kind", "dss", *args, "--output", str(path)]) == 0

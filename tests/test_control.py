@@ -1,9 +1,10 @@
-"""Differential test of the three-stage forecast against the frozen seed copy.
+"""Differential tests of the program against the frozen seed copy.
 
 ``perfbench/control/tsarf_control`` is the program as the benchmark first
 recorded it, kept unedited as its control. On noisy growth curves the
 forecast must pick the same window size, the same moving-average length up
-to rounding ties, and the same test PMSE within the benchmark's tolerance.
+to rounding ties, and the same test PMSE within the benchmark's tolerance;
+each SRGM fit must fail as the control's does, or reach an SSE no higher.
 """
 
 import sys
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tsarf
 from conftest import make_changepoint_curve
 from tsarf import GrowthCurve, pmse, predicted_line, split, tsarf_forecast
 
@@ -22,6 +24,8 @@ control = pytest.importorskip("tsarf_control")
 
 #: The benchmark's relative tolerance on TSARF PMSE (perfbench/workloads.py).
 PMSE_RTOL = 1e-3
+#: The benchmark's relative tolerance on SRGM training SSE (perfbench/workloads.py).
+SSE_RTOL = 1e-9
 #: select_ma_length's tie tolerance on holdout RMSEs, per unit of max|y_hold|.
 TIE = 1000 * np.finfo(float).eps
 
@@ -66,3 +70,29 @@ def test_tsarf_forecast_matches_control(kind, n, k, seed):
     got = pmse(predicted_line(model, parts.test.times), parts.test.counts)
     want = control.pmse(control.predicted_line(ref, parts.test.times), parts.test.counts)
     assert got == pytest.approx(want, rel=PMSE_RTOL)
+
+
+def _fit_or_error(package, curve: GrowthCurve, kind: str):
+    """``package.fit_srgm`` on the curve, or the name of the error it raises."""
+    try:
+        return package.fit_srgm(package.GrowthCurve(curve.times, curve.counts), package.SrgmKind(kind))
+    except package.TsarfError as exc:
+        return type(exc).__name__
+
+
+# a control fit takes about a quarter of a second, so few curves keep this short
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    shape=st.sampled_from(["go", "dss", "weibull", "changepoint"]),
+    n=st.integers(20, 120),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_srgm_fits_match_control(shape, n, seed):
+    curve = noisy_curve(shape, n, np.random.default_rng(seed))
+    for kind in ("go", "dss", "weibull"):
+        got = _fit_or_error(tsarf, curve, kind)
+        want = _fit_or_error(control, curve, kind)
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want, kind
+        else:
+            assert got.sse <= want.sse * (1.0 + SSE_RTOL), kind

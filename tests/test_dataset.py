@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from tsarf import (
     DataError,
-    FailureTimes,
     GrowthCurve,
     UsageError,
     auto_split_len,
@@ -16,7 +15,6 @@ from tsarf import (
     load_growth_curve_csv,
     read_curve_file,
     split,
-    to_growth_curve,
 )
 from tsarf import dataset
 
@@ -28,20 +26,21 @@ finite_times = st.lists(
 
 
 def test_load_basic():
-    ft = load_failure_times(io.StringIO("1.0\n2.5\n4.0"))
-    assert ft.times.tolist() == [1.0, 2.5, 4.0]
-    assert not ft.required_sorting
+    curve, required_sorting = load_failure_times(io.StringIO("1.0\n2.5\n4.0"))
+    assert curve.times.tolist() == [1.0, 2.5, 4.0]
+    assert not required_sorting
 
 
 def test_load_skips_comments_and_blanks():
-    ft = load_failure_times(io.StringIO("# header\n\n1.0\n  \n# mid\n2.0\n"))
-    assert ft.times.tolist() == [1.0, 2.0]
+    curve, _ = load_failure_times(io.StringIO("# header\n\n1.0\n  \n# mid\n2.0\n"))
+    assert curve.times.tolist() == [1.0, 2.0]
 
 
 def test_load_unsorted_sets_flag():
-    ft = load_failure_times(io.StringIO("4.0\n1.0"))
-    assert ft.times.tolist() == [1.0, 4.0]
-    assert ft.required_sorting
+    curve, required_sorting = load_failure_times(io.StringIO("4.0\n1.0"))
+    assert curve.times.tolist() == [1.0, 4.0]
+    assert curve.counts.tolist() == [1.0, 2.0]
+    assert required_sorting
 
 
 def test_load_negative_time_reports_line():
@@ -66,38 +65,41 @@ def test_load_rejects_non_finite():
 
 @given(finite_times)
 def test_load_idempotent_under_reserialization(values):
-    ft = load_failure_times(io.StringIO("\n".join(repr(float(v)) for v in values)))
-    again = load_failure_times(io.StringIO("\n".join(repr(float(v)) for v in ft.times)))
-    assert np.array_equal(ft.times, again.times)
-    assert not again.required_sorting
+    curve, _ = load_failure_times(io.StringIO("\n".join(repr(float(v)) for v in values)))
+    again, required_sorting = load_failure_times(io.StringIO("\n".join(repr(float(v)) for v in curve.times)))
+    assert np.array_equal(curve.times, again.times)
+    assert not required_sorting
 
 
-def test_to_growth_curve_definition():
-    curve = to_growth_curve(FailureTimes(np.array([1.0, 2.5, 4.0])))
+def test_load_counts_are_one_to_n():
+    curve, _ = load_failure_times(io.StringIO("1.0\n2.5\n4.0\n"))
     assert curve.times.tolist() == [1.0, 2.5, 4.0]
     assert curve.counts.tolist() == [1.0, 2.0, 3.0]
 
 
-def test_to_growth_curve_allows_ties():
-    curve = to_growth_curve(FailureTimes(np.array([2.0, 2.0])))
+def test_load_allows_tied_times():
+    curve, required_sorting = load_failure_times(io.StringIO("2.0\n2.0\n"))
+    assert curve.times.tolist() == [2.0, 2.0]
     assert curve.counts.tolist() == [1.0, 2.0]
+    assert not required_sorting
 
 
-def test_to_growth_curve_104_failures():
+def test_load_104_failures():
     times = np.sort(np.random.default_rng(0).uniform(0, 5000, size=104))
-    curve = to_growth_curve(FailureTimes(times))
+    curve, _ = load_failure_times(io.StringIO("\n".join(map(repr, times.tolist()))))
+    assert np.array_equal(curve.times, times)
     assert curve.n == 104
     assert curve.counts[-1] == 104
 
 
-def test_to_growth_curve_empty_is_error():
-    with pytest.raises(DataError):
-        to_growth_curve(FailureTimes(np.empty(0)))
+def test_load_empty_input_is_error():
+    with pytest.raises(DataError, match="^no failure times in input$"):
+        load_failure_times(io.StringIO(""))
 
 
 @given(finite_times)
 def test_round_trip_counts_are_one_to_n(values):
-    curve = to_growth_curve(FailureTimes(np.sort(np.asarray(values))))
+    curve, _ = load_failure_times(io.StringIO("\n".join(map(repr, values))))
     assert np.array_equal(curve.counts, np.arange(1, len(values) + 1))
 
 
@@ -221,6 +223,34 @@ def test_read_curve_file_skips_utf8_byte_order_mark(tmp_path, text, fmt):
     assert curve.counts.tolist() == want.counts.tolist() == [1.0, 2.0, 3.0]
 
 
+def test_read_curve_file_csv_after_leading_comment_lines(tmp_path):
+    path = tmp_path / "export.csv"
+    path.write_text("# exported from tracker\n\n  # 2 rows\ntime,count\n1.0,3\n2.0,7\n")
+    curve, meta = read_curve_file(path)
+    assert meta["format"] == "curve"
+    assert curve.times.tolist() == [1.0, 2.0]
+    assert curve.counts.tolist() == [3.0, 7.0]
+
+
+@pytest.mark.parametrize("leading", ["", "# exported\n", "\n# a\n  \n\t#b\n"])
+def test_csv_line_numbers_count_leading_comment_lines(leading):
+    skipped = leading.count("\n")
+    with pytest.raises(DataError) as info:
+        load_growth_curve_csv(io.StringIO(leading + "time,count\n1,1\n\n-2,2\n"))
+    assert str(info.value) == f"line {skipped + 4}: negative time -2.0"
+
+
+def test_csv_line_numbers_count_lines_inside_quoted_fields():
+    with pytest.raises(DataError, match="^line 4: negative time -2.0$"):
+        load_growth_curve_csv(io.StringIO('time,count\n"1\n",1\n-2,2\n'))
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n", "\n  \n# c\n"])
+def test_csv_without_header_line_is_empty(text):
+    with pytest.raises(DataError, match="^empty CSV input$"):
+        load_growth_curve_csv(io.StringIO(text))
+
+
 def test_read_curve_file_missing(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         read_curve_file(tmp_path / "nope.txt")
@@ -323,9 +353,11 @@ def test_load_matches_per_line_reader(lines, block_lines, ending):
     if isinstance(expected, str):
         assert got == expected
     else:
-        assert isinstance(got, FailureTimes)
-        assert np.array_equal(got.times, expected[0])
-        assert got.required_sorting == expected[1]
+        curve, required_sorting = got
+        assert isinstance(curve, GrowthCurve)
+        assert np.array_equal(curve.times, expected[0])
+        assert np.array_equal(curve.counts, np.arange(1.0, curve.n + 1))
+        assert required_sorting == expected[1]
 
 
 @pytest.mark.parametrize("block_lines", [2, 8192])
@@ -341,5 +373,5 @@ def test_load_after_leading_comment_lines(block_lines, header, body):
     if isinstance(expected, str):
         assert got == expected
     else:
-        assert np.array_equal(got.times, expected[0])
-        assert got.required_sorting == expected[1]
+        assert np.array_equal(got[0].times, expected[0])
+        assert got[1] == expected[1]

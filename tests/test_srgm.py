@@ -347,13 +347,14 @@ class TestSimulate:
     def test_deterministic_for_fixed_seed(self):
         a = simulate_nhpp(SrgmKind.GO, self.params, horizon=25.0, seed=7)
         b = simulate_nhpp(SrgmKind.GO, self.params, horizon=25.0, seed=7)
-        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a, b)
 
     def test_sorted_within_horizon(self):
-        ft = simulate_nhpp(SrgmKind.GO, self.params, horizon=25.0, seed=3)
-        assert np.all(np.diff(ft.times) >= 0)
-        assert ft.times[0] >= 0.0
-        assert ft.times[-1] <= 25.0
+        times = simulate_nhpp(SrgmKind.GO, self.params, horizon=25.0, seed=3)
+        assert isinstance(times, np.ndarray) and times.dtype == float
+        assert np.all(np.diff(times) >= 0)
+        assert times[0] >= 0.0
+        assert times[-1] <= 25.0
 
     def test_mean_count_matches_intensity(self):
         total = mvf(SrgmKind.GO, self.params, 25.0)
@@ -399,7 +400,7 @@ class TestSimulate:
             with pytest.raises(DegenerateDataError):
                 simulate_nhpp(kind, params, horizon, seed)
             return
-        got = simulate_nhpp(kind, params, horizon, seed).times
+        got = simulate_nhpp(kind, params, horizon, seed)
         assert got.tobytes() == expected.tobytes()
 
     def test_event_time_distribution_tracks_mvf(self):
@@ -408,9 +409,9 @@ class TestSimulate:
         expected = mvf(SrgmKind.GO, self.params, t_half) / mvf(SrgmKind.GO, self.params, 25.0)
         below = total = 0
         for seed in range(120):
-            ft = simulate_nhpp(SrgmKind.GO, self.params, horizon=25.0, seed=seed)
-            below += int(np.sum(ft.times <= t_half))
-            total += len(ft)
+            times = simulate_nhpp(SrgmKind.GO, self.params, horizon=25.0, seed=seed)
+            below += int(np.sum(times <= t_half))
+            total += len(times)
         assert below / total == pytest.approx(expected, abs=0.02)
 
 
