@@ -33,7 +33,6 @@ from .errors import (
 from .metrics import evaluate_model, pmse, pp, prr
 from .pipeline import (
     CoefficientHistory,
-    StageTwoFit,
     TsarfModel,
     apply_moving_average,
     error_correct,
@@ -80,7 +79,6 @@ __all__ = [
     "pp",
     "TsarfModel",
     "CoefficientHistory",
-    "StageTwoFit",
     "fit_windows",
     "forecast_coefficients",
     "error_correct",

@@ -72,19 +72,22 @@ def _parse_models(raw: str) -> list[str]:
     return order_models(models)
 
 
-def _parse_values(raw: str, what: str, minimum: int) -> list[int]:
+def _parse_values(raw: str, what: str, minimum: int) -> range | list[int]:
     raw = raw.strip()
     try:
         if ".." in raw:
             lo, hi = raw.split("..", 1)
-            values = list(range(int(lo), int(hi) + 1))
+            values = range(int(lo), int(hi) + 1)
         else:
             values = [int(v) for v in raw.split(",") if v.strip()]
     except ValueError:
         raise UsageError(f"cannot parse value range {raw!r}; use 'a..b' or 'a,b,c'") from None
     if not values:
         raise UsageError("value range is empty")
-    return [_at_least(value, what, minimum) for value in values]
+    # a range is never expanded here; it ascends, so its first value is its least
+    for value in values[:1] if isinstance(values, range) else values:
+        _at_least(value, what, minimum)
+    return values
 
 
 def _resolve_output(path: str | Path) -> Path:
@@ -164,6 +167,10 @@ def cmd_sweep(args) -> int:
     stems = [Path(path).stem for path in args.inputs]
     names = [path if stems.count(stem) > 1 else stem for path, stem in zip(args.inputs, stems)]
     datasets = [(name, read_curve_file(path)[0]) for name, path in zip(names, args.inputs)]
+    # no window (2k <= train_n) or length (d <= W - 1) above every point count fits
+    longest = max(curve.n for _, curve in datasets)
+    if isinstance(values, range) and values[-1] > longest:
+        raise UsageError(f"value range {args.values.strip()} ends above {longest}, the most points in any input")
     k = _parse_auto_int(args.window_size, "window size", 3)
     d = _parse_auto_int(args.ma, "moving-average length", 1)
 
@@ -176,7 +183,7 @@ def cmd_sweep(args) -> int:
                 parts = split(curve, args.test_len, test_fraction=args.test_fraction, k=cell_k)
                 model = tsarf_forecast(parts.train, cell_k, cell_d)
                 metrics = evaluate_model(predicted_line(model, parts.test.times), parts.test.counts)
-                row.append(f"{metrics['pmse']:.6g}")
+                row.append("n/a" if metrics["pmse"] is None else f"{metrics['pmse']:.6g}")
             except TsarfError as exc:
                 row.append("error")
                 print(f"warning: {args.param}={value} on {name}: {exc}", file=sys.stderr)

@@ -253,17 +253,14 @@ def auto_window_size(train_n: int) -> int:
 def auto_split_len(n: int) -> int:
     """Default test length: the auto window size, resolved jointly with the split.
 
-    The window size tracks 10% of the training length while the default test
-    length equals the window size, so the two are solved as a fixed point of
-    k -> auto_window_size(n - k). When the iteration 2-cycles the smaller
-    value is taken, which keeps more data in training.
+    The default test length equals the window size, which tracks 10% of the
+    training length, so k solves k = max(3, (n - k) // 10), with the smaller
+    value, which keeps more data in training, where that map 2-cycles. That
+    is max(3, n // 11), capped at n - 1: for k >= 3 a fixed point needs
+    11k <= n < 11k + 10, so it is n // 11 unless n = 10 (mod 11), where the
+    map 2-cycles between n // 11 and n // 11 + 1; below n = 33 both give 3;
+    and the map's slope is -1/10, so iterating it reaches that point or cycle.
     """
     if n < 2:
         raise DataError(f"curve with {n} points cannot be split")
-    k = auto_window_size(n)
-    seen: list[int] = []
-    while k not in seen:
-        seen.append(k)
-        k = auto_window_size(n - k)
-    k = min(seen[seen.index(k):])
-    return min(k, n - 1)
+    return min(max(3, n // 11), n - 1)

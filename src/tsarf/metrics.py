@@ -48,17 +48,20 @@ def pp(pred, actual) -> float:
 
 def evaluate_model(pred, actual) -> dict:
     """Score one model as the run report's ``metrics`` entry: ``pmse``, ``prr``,
-    ``pp``, ``n_test`` and ``notes``. An undefined metric reads None, with a note
-    saying why, instead of failing."""
+    ``pp``, ``n_test`` and ``notes``. An undefined metric, or one that overflows
+    float64, reads None, with a note saying why, instead of failing."""
     pred, actual = _validate(pred, actual)
     metrics: dict = {}
     notes: list[str] = []
-    for name, fn in (("pmse", pmse), ("prr", prr), ("pp", pp)):
-        try:
-            metrics[name] = fn(pred, actual)
-        except MetricDomainError as exc:
-            metrics[name] = None
-            notes.append(f"{name} undefined: {exc}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, fn in (("pmse", pmse), ("prr", prr), ("pp", pp)):
+            try:
+                metrics[name] = fn(pred, actual)
+                if not np.isfinite(metrics[name]):
+                    raise MetricDomainError("the value overflows float64")
+            except MetricDomainError as exc:
+                metrics[name] = None
+                notes.append(f"{name} undefined: {exc}")
     metrics["n_test"] = int(actual.size)
     metrics["notes"] = notes
     return metrics

@@ -15,7 +15,7 @@ dropped, so the final window always ends at the training boundary.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,21 +45,6 @@ class CoefficientHistory:
     def W(self) -> int:
         return int(self.matrix.shape[0])
 
-    def drop_last(self) -> "CoefficientHistory":
-        """History restricted to the first W - 1 windows."""
-        return replace(self, matrix=self.matrix[:-1])
-
-
-@dataclass(frozen=True)
-class StageTwoFit:
-    """Window-index trend per coefficient: row rho holds (intercept, slope)."""
-
-    trend: np.ndarray
-
-    def predict(self, index: float) -> np.ndarray:
-        """Trend value of every coefficient at the given window index."""
-        return self.trend[:, 0] + index * self.trend[:, 1]
-
 
 @dataclass(frozen=True)
 class TsarfModel:
@@ -69,12 +54,12 @@ class TsarfModel:
     raw_forecast: np.ndarray
     corrected_forecast: np.ndarray
     epsilon: np.ndarray
-    stage2: StageTwoFit
+    trend: np.ndarray  # stage 2: row rho holds (intercept, slope) over the window index
     history: CoefficientHistory
     d_used: int
     d_auto: bool
-    d_fallback: bool = False
-    ma_candidates: tuple[tuple[int, float], ...] = field(default=())
+    d_fallback: bool
+    ma_candidates: tuple[tuple[int, float], ...]
 
 
 def fit_windows(train: GrowthCurve, k: int) -> CoefficientHistory:
@@ -105,43 +90,49 @@ def fit_windows(train: GrowthCurve, k: int) -> CoefficientHistory:
     return CoefficientHistory(matrix=matrix, k=k, n_dropped=n_dropped)
 
 
-def forecast_coefficients(history: CoefficientHistory) -> tuple[StageTwoFit, np.ndarray]:
-    """Regress each coefficient on the window index and extrapolate to W + 1.
+def _trend_at(trend: np.ndarray, index: float) -> np.ndarray:
+    """Trend value of every coefficient at the given window index."""
+    return trend[:, 0] + index * trend[:, 1]
 
-    Both coefficient columns share the window-index design, so one fit with a
+
+def forecast_coefficients(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Regress each coefficient column of the (W, 2) matrix on the window
+    index and extrapolate to W + 1.
+
+    Returns the (2, 2) trend, whose row rho holds (intercept, slope) of
+    coefficient rho over the window index, and the raw forecast. Both
+    coefficient columns share the window-index design, so one fit with a
     two-column response yields the whole trend.
     """
-    n_windows = history.W
+    n_windows = len(matrix)
     if n_windows < 2:
         raise InsufficientDataError(
             f"coefficient trend needs at least 2 windows, have {n_windows}"
         )
     index = design_matrix(np.arange(1, n_windows + 1, dtype=float))
-    stage2 = StageTwoFit(trend=ols_fit(index, history.matrix).T)
-    return stage2, stage2.predict(n_windows + 1)
+    trend = ols_fit(index, matrix).T
+    return trend, _trend_at(trend, n_windows + 1)
 
 
-def error_correct(
-    raw: np.ndarray, stage2: StageTwoFit, history: CoefficientHistory
-) -> tuple[np.ndarray, np.ndarray]:
+def error_correct(raw: np.ndarray, trend: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shift the raw forecast by the trend residual at the last window.
 
     epsilon is the gap between the last window's fitted coefficients and the
     trend's value there, so the shifted trend passes exactly through them.
     """
-    epsilon = history.matrix[-1] - stage2.predict(history.W)
+    epsilon = matrix[-1] - _trend_at(trend, len(matrix))
     return raw + epsilon, epsilon
 
 
-def apply_moving_average(corrected: np.ndarray, history: CoefficientHistory, d: int) -> np.ndarray:
+def apply_moving_average(corrected: np.ndarray, matrix: np.ndarray, d: int) -> np.ndarray:
     """Blend the corrected forecast 50/50 with the mean of the d window
     coefficient rows immediately before the last window."""
-    n_windows = history.W
+    n_windows = len(matrix)
     if not 1 <= d <= n_windows - 1:
         raise UsageError(
             f"moving-average length d must be in 1..{n_windows - 1}, got {d}"
         )
-    ma = history.matrix[n_windows - 1 - d: n_windows - 1].mean(axis=0)
+    ma = matrix[n_windows - 1 - d: n_windows - 1].mean(axis=0)
     return 0.5 * (corrected + ma)
 
 
@@ -167,15 +158,15 @@ def select_ma_length(
         )
         return 1, (), True
 
-    sub = history.drop_last()
+    sub = history.matrix[:-1]
     t_hold = train.times[-history.k:]
     y_hold = train.counts[-history.k:]
 
-    stage2, raw = forecast_coefficients(sub)
-    corrected, _ = error_correct(raw, stage2, sub)
+    trend, raw = forecast_coefficients(sub)
+    corrected, _ = error_correct(raw, trend, sub)
     lengths = np.arange(1, n_windows - 1)
     # row d-1 of ma: mean of the d rows before the last row of sub
-    ma = np.cumsum(sub.matrix[-2::-1], axis=0) / lengths[:, None]
+    ma = np.cumsum(sub[-2::-1], axis=0) / lengths[:, None]
     coeffs = 0.5 * (corrected + ma)
     pred = coeffs[:, :1] + coeffs[:, 1:] * t_hold
     mses = np.mean((pred - y_hold) ** 2, axis=1)
@@ -215,15 +206,15 @@ def tsarf_forecast(train: GrowthCurve, k: int | None = None, d: int | None = Non
     else:
         candidates, fallback = (), False
 
-    stage2, raw = forecast_coefficients(history)
-    corrected, epsilon = error_correct(raw, stage2, history)
-    final = apply_moving_average(corrected, history, d)
+    trend, raw = forecast_coefficients(history.matrix)
+    corrected, epsilon = error_correct(raw, trend, history.matrix)
+    final = apply_moving_average(corrected, history.matrix, d)
     return TsarfModel(
         coefficients=final,
         raw_forecast=raw,
         corrected_forecast=corrected,
         epsilon=epsilon,
-        stage2=stage2,
+        trend=trend,
         history=history,
         d_used=d,
         d_auto=d_auto,

@@ -43,7 +43,7 @@ def tsarf_entry(model: TsarfModel) -> dict:
         "corrected_forecast": model.corrected_forecast.tolist(),
         "epsilon": model.epsilon.tolist(),
         "coefficient_history": model.history.matrix.tolist(),
-        "stage2_trend": model.stage2.trend.tolist(),
+        "stage2_trend": model.trend.tolist(),
         "ma_candidates": [[d, mse] for d, mse in model.ma_candidates],
     }
 
@@ -69,7 +69,7 @@ def run_report(meta: dict, parts: SplitCurve, entries: list[dict]) -> dict:
 
 
 def write_report(report: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _render_table(rows: list[tuple[str, ...] | list[str]]) -> str:

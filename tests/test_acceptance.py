@@ -33,7 +33,6 @@ from tsarf import (
 )
 from tsarf.cli import main
 from conftest import make_changepoint_curve
-from test_pipeline import make_history
 
 
 def ok(message: str) -> None:
@@ -89,11 +88,11 @@ def test_criterion_03_error_correction_identity():
     rng = np.random.default_rng(99)
     for _ in range(200):
         w = rng.integers(2, 12)
-        history = make_history(rng.normal(0, 100, size=(w, 2)))
-        stage2, raw = forecast_coefficients(history)
-        _, epsilon = error_correct(raw, stage2, history)
-        anchored = stage2.predict(history.W) + epsilon
-        assert np.all(np.abs(anchored - history.matrix[-1]) < 1e-10)
+        matrix = rng.normal(0, 100, size=(w, 2))
+        trend, raw = forecast_coefficients(matrix)
+        _, epsilon = error_correct(raw, trend, matrix)
+        anchored = trend[:, 0] + w * trend[:, 1] + epsilon
+        assert np.all(np.abs(anchored - matrix[-1]) < 1e-10)
     ok("criterion 3 - corrected trend passes through the last window's coefficients")
 
 

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import tsarf
@@ -323,6 +323,18 @@ def test_sweep_value_below_minimum_exits_1(tmp_path, line_file, capsys, param, v
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
     assert not out.exists()
+
+
+def test_sweep_range_beyond_every_input_exits_1(tmp_path, line_file, capsys):
+    # 3..10**12 must be rejected without expanding it; line_file holds 40 points
+    out = tmp_path / "sweep.csv"
+    with mock.patch("tsarf.cli.tsarf_forecast") as forecast:
+        rc = main(["sweep", str(line_file), "--param", "window", "--values", f"3..{10**12}", "--output", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"usage error: value range 3..{10**12} ends above 40, the most points in any input"
+    ]
+    assert not forecast.called and not out.exists()
 
 
 @pytest.mark.parametrize(("option", "message"), [
@@ -645,6 +657,17 @@ def test_sweep_window_rows_and_error_marker(tmp_path, go_file, capsys):
     assert rows[-1].endswith("error")
 
 
+def test_sweep_overflowing_pmse_reads_na(tmp_path, capsys):
+    # the window line y = t predicts 1e200 at the held-out point, whose squared error overflows
+    data = tmp_path / "far.txt"
+    data.write_text("1\n2\n3\n4\n5\n6\n1e200\n")
+    out_csv = tmp_path / "sweep.csv"
+    argv = ["sweep", str(data), "--param", "window", "--values", "3", "--test-len", "1", "--output", str(out_csv)]
+    assert main(argv) == 0
+    assert out_csv.read_bytes() == b"size,far\r\n3,n/a\r\n"
+    assert capsys.readouterr().err == "warning: only 2 windows: falling back to moving-average length 1\n"
+
+
 def test_sweep_ma_rows(tmp_path, go_file):
     out_csv = tmp_path / "sweep_ma.csv"
     rc = main(
@@ -823,17 +846,29 @@ fuzz_inputs = st.one_of(
 )
 
 
+def strict_json(text):
+    """Parse RFC 8259 JSON: reject the NaN and Infinity tokens Python writes by default."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(fuzz_inputs)
+# TSARF's PMSE and PP overflow float64 on this curve
+@example("1.7e9\n1.7e9\n1.7e9\n1.7e9\n1e200\n1e-320\n1e-320\n1.0\n1.0")
 def test_compare_fuzz_exits_with_a_known_code(text):
     with tempfile.TemporaryDirectory() as tmp:
         data, report = Path(tmp) / "in.txt", Path(tmp) / "r.json"
         data.write_text(text + "\n")
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             rc = main(
                 ["compare", str(data), "--models", "tsarf,go",
                  "--output", str(report), "--curves", str(Path(tmp) / "c.csv")]
             )
         assert rc in (0, 1, 2, 3)
+        prefixes = ("warning: ", "usage error: ", "data error: ", "convergence error: ")
+        assert all(line.startswith(prefixes) for line in stderr.getvalue().splitlines())
         if rc in (0, 3):
-            assert json.loads(report.read_text())["models"]
+            assert strict_json(report.read_text())["models"]

@@ -167,10 +167,22 @@ def test_split_out_of_range_message(n, kwargs, got):
     assert str(exc.value) == f"test length must satisfy 0 < test_len < {n}, got {got}"
 
 
+def fixed_point_split_len(n):
+    """The joint split length by iteration: the fixed point of
+    k -> max(3, (n - k) // 10), or the smaller value of its 2-cycle."""
+    k = max(3, n // 10)
+    seen = []
+    while k not in seen:
+        seen.append(k)
+        k = max(3, (n - k) // 10)
+    return min(min(seen[seen.index(k):]), n - 1)
+
+
 def test_auto_split_len_matches_protocol():
     # joint fixed point of split length and 10%-of-training window size
     assert auto_split_len(104) == 9
     assert auto_split_len(54) == 4
+    assert [auto_split_len(n) for n in range(2, 20001)] == [fixed_point_split_len(n) for n in range(2, 20001)]
 
 
 def test_csv_curve_roundtrip():

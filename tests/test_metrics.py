@@ -96,6 +96,13 @@ def test_evaluate_model_records_undefined_metrics():
     assert any("pp" in note for note in report["notes"])
 
 
+def test_evaluate_model_records_overflowing_metrics():
+    # (1e200 - 1)**2 and (1 / 1e-320)**2 overflow float64; numpy would warn and return inf
+    report = evaluate_model([1e200, 1e-320], [1.0, 1.0])
+    assert (report["pmse"], report["prr"], report["pp"]) == (None, None, None)
+    assert report["notes"] == [f"{name} undefined: the value overflows float64" for name in ("pmse", "prr", "pp")]
+
+
 def test_evaluate_model_full():
     report = evaluate_model([2.0], [1.0])
     assert (report["pmse"], report["prr"], report["pp"]) == (1.0, 0.25, 1.0)

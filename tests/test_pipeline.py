@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsarf import (
-    CoefficientHistory,
     DegenerateWindowError,
     GrowthCurve,
     InsufficientDataError,
@@ -23,11 +22,6 @@ from tsarf import (
     window_fitted_values,
 )
 from conftest import make_changepoint_curve
-
-
-def make_history(matrix, k=3):
-    """Coefficient history with placeholder window bookkeeping."""
-    return CoefficientHistory(matrix=np.asarray(matrix, dtype=float), k=k, n_dropped=0)
 
 
 class TestPartitionWindows:
@@ -85,50 +79,50 @@ class TestFitWindows:
 
 class TestForecastCoefficients:
     def test_exact_trend(self):
-        history = make_history(np.column_stack([[2, 4, 6, 8, 10], np.ones(5)]))
-        stage2, raw = forecast_coefficients(history)
-        assert stage2.trend[0] == pytest.approx([0.0, 2.0], abs=1e-10)
+        matrix = np.column_stack([[2, 4, 6, 8, 10], np.ones(5)])
+        trend, raw = forecast_coefficients(matrix)
+        assert trend[0] == pytest.approx([0.0, 2.0], abs=1e-10)
         assert raw[0] == pytest.approx(12.0, abs=1e-10)
 
     def test_constant_history(self):
-        history = make_history(np.tile([7.5, 3.0], (4, 1)))
-        stage2, raw = forecast_coefficients(history)
-        assert stage2.trend[:, 1] == pytest.approx([0.0, 0.0], abs=1e-12)
+        matrix = np.tile([7.5, 3.0], (4, 1))
+        trend, raw = forecast_coefficients(matrix)
+        assert trend[:, 1] == pytest.approx([0.0, 0.0], abs=1e-12)
         assert raw == pytest.approx([7.5, 3.0], abs=1e-10)
 
     def test_hand_computed_trend(self):
         # column (1, 2, 5) at i=1..3: OLS gives intercept -4/3, slope 2
-        history = make_history(np.column_stack([[1.0, 2.0, 5.0], np.zeros(3)]))
-        stage2, raw = forecast_coefficients(history)
-        assert stage2.trend[0] == pytest.approx([-4.0 / 3.0, 2.0], abs=1e-10)
+        matrix = np.column_stack([[1.0, 2.0, 5.0], np.zeros(3)])
+        trend, raw = forecast_coefficients(matrix)
+        assert trend[0] == pytest.approx([-4.0 / 3.0, 2.0], abs=1e-10)
         assert raw[0] == pytest.approx(20.0 / 3.0, abs=1e-10)
 
     def test_single_window_rejected(self):
         with pytest.raises(InsufficientDataError):
-            forecast_coefficients(make_history(np.array([[1.0, 2.0]])))
+            forecast_coefficients(np.array([[1.0, 2.0]]))
 
 
 class TestErrorCorrect:
     def test_zero_residual_leaves_raw(self):
-        history = make_history(np.column_stack([[2, 4, 6], [1, 1, 1]]))
-        stage2, raw = forecast_coefficients(history)
-        corrected, epsilon = error_correct(raw, stage2, history)
+        matrix = np.column_stack([[2.0, 4.0, 6.0], np.ones(3)])
+        trend, raw = forecast_coefficients(matrix)
+        corrected, epsilon = error_correct(raw, trend, matrix)
         assert epsilon == pytest.approx([0.0, 0.0], abs=1e-10)
         assert corrected == pytest.approx(raw, abs=1e-12)
 
     def test_hand_computed_epsilon(self):
         # continuing the (1, 2, 5) example: eps = 5 - 14/3 = 1/3, corrected 7
-        history = make_history(np.column_stack([[1.0, 2.0, 5.0], np.zeros(3)]))
-        stage2, raw = forecast_coefficients(history)
-        corrected, epsilon = error_correct(raw, stage2, history)
+        matrix = np.column_stack([[1.0, 2.0, 5.0], np.zeros(3)])
+        trend, raw = forecast_coefficients(matrix)
+        corrected, epsilon = error_correct(raw, trend, matrix)
         assert epsilon[0] == pytest.approx(1.0 / 3.0, abs=1e-10)
         assert corrected[0] == pytest.approx(7.0, abs=1e-10)
 
     def test_sign_tracks_last_window(self):
         # last value pushed above the trend line -> positive correction
-        history = make_history(np.column_stack([[1.0, 2.0, 9.0], np.zeros(3)]))
-        stage2, raw = forecast_coefficients(history)
-        _, epsilon = error_correct(raw, stage2, history)
+        matrix = np.column_stack([[1.0, 2.0, 9.0], np.zeros(3)])
+        trend, raw = forecast_coefficients(matrix)
+        _, epsilon = error_correct(raw, trend, matrix)
         assert epsilon[0] > 0
 
     @settings(max_examples=60)
@@ -140,44 +134,41 @@ class TestErrorCorrect:
         )
     )
     def test_corrected_trend_passes_through_last_row(self, matrix):
-        history = make_history(matrix)
-        stage2, raw = forecast_coefficients(history)
-        _, epsilon = error_correct(raw, stage2, history)
-        anchored = stage2.predict(history.W) + epsilon
-        assert anchored == pytest.approx(history.matrix[-1], abs=1e-10)
+        trend, raw = forecast_coefficients(matrix)
+        _, epsilon = error_correct(raw, trend, matrix)
+        anchored = trend[:, 0] + len(matrix) * trend[:, 1] + epsilon
+        assert anchored == pytest.approx(matrix[-1], abs=1e-10)
 
     def test_stage2_residuals_orthogonal_to_index(self):
         rng = np.random.default_rng(3)
         matrix = rng.normal(0, 20, size=(7, 2))
-        history = make_history(matrix)
-        stage2, _ = forecast_coefficients(history)
+        trend, _ = forecast_coefficients(matrix)
         idx = np.arange(1, 8, dtype=float)
         for rho in range(2):
-            residual = matrix[:, rho] - (stage2.trend[rho, 0] + idx * stage2.trend[rho, 1])
+            residual = matrix[:, rho] - (trend[rho, 0] + idx * trend[rho, 1])
             assert abs(residual.sum()) < 1e-8
             assert abs((residual * idx).sum()) < 1e-7
 
 
 class TestMovingAverage:
     def test_hand_value(self):
-        history = make_history(np.column_stack([[1.0, 2.0, 5.0], np.zeros(3)]))
-        blended = apply_moving_average(np.array([7.0, 0.0]), history, d=1)
+        matrix = np.column_stack([[1.0, 2.0, 5.0], np.zeros(3)])
+        blended = apply_moving_average(np.array([7.0, 0.0]), matrix, d=1)
         assert blended[0] == pytest.approx(4.5, abs=1e-12)
 
     def test_constant_history_is_identity(self):
-        history = make_history(np.tile([4.0, 2.0], (5, 1)))
-        blended = apply_moving_average(np.array([4.0, 2.0]), history, d=3)
+        matrix = np.tile([4.0, 2.0], (5, 1))
+        blended = apply_moving_average(np.array([4.0, 2.0]), matrix, d=3)
         assert blended == pytest.approx([4.0, 2.0], abs=1e-12)
 
     def test_d_equal_to_window_count_rejected(self):
-        history = make_history(np.tile([1.0, 1.0], (3, 1)))
+        matrix = np.tile([1.0, 1.0], (3, 1))
         with pytest.raises(UsageError):
-            apply_moving_average(np.array([1.0, 1.0]), history, d=3)
+            apply_moving_average(np.array([1.0, 1.0]), matrix, d=3)
 
     def test_averages_rows_before_last(self):
         matrix = np.column_stack([[10.0, 20.0, 30.0, 99.0], np.zeros(4)])
-        history = make_history(matrix)
-        blended = apply_moving_average(np.zeros(2), history, d=2)
+        blended = apply_moving_average(np.zeros(2), matrix, d=2)
         # rows W-1 and W-2 (20, 30), never the last row (99)
         assert blended[0] == pytest.approx(0.5 * ((20.0 + 30.0) / 2.0), abs=1e-12)
 
