@@ -21,6 +21,7 @@ import numpy as np
 
 from .dataset import GrowthCurve, auto_window_size
 from .errors import (
+    DataError,
     DegenerateWindowError,
     InsufficientDataError,
     RankDeficiencyError,
@@ -176,12 +177,14 @@ def select_ma_length(
     return int(np.argmax(rmses <= rmses.min() + tolerance)) + 1, candidates, False
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def predicted_line(model: TsarfModel, times) -> np.ndarray:
-    """Evaluate the predicted line at the requested times."""
+    """Evaluate the predicted line at the requested times; a value past float64 reads inf."""
     times = np.asarray(times, dtype=float)
     return model.coefficients[0] + model.coefficients[1] * times
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def window_fitted_values(model: TsarfModel, train: GrowthCurve) -> np.ndarray:
     """Per-window fitted line evaluated over training; NaN for dropped points."""
     history = model.history
@@ -191,13 +194,15 @@ def window_fitted_values(model: TsarfModel, train: GrowthCurve) -> np.ndarray:
     return fitted
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def tsarf_forecast(train: GrowthCurve, k: int | None = None, d: int | None = None) -> TsarfModel:
     """Run the full three-stage pipeline on a training curve.
 
     k is the number of points per window and d the moving-average length;
     ``None`` picks k = max(3, train.n // 10) and the d with the least holdout
     MSE. ``fit_windows`` rejects k < 3 and ``apply_moving_average`` a d
-    outside 1..W-1.
+    outside 1..W-1. A holdout MSE past float64 is inf, and a predicted line
+    past float64 raises DataError.
     """
     history = fit_windows(train, auto_window_size(train.n) if k is None else k)
     d_auto = d is None
@@ -209,6 +214,8 @@ def tsarf_forecast(train: GrowthCurve, k: int | None = None, d: int | None = Non
     trend, raw = forecast_coefficients(history.matrix)
     corrected, epsilon = error_correct(raw, trend, history.matrix)
     final = apply_moving_average(corrected, history.matrix, d)
+    if not np.isfinite(final).all():
+        raise DataError(f"the predicted line {final.tolist()} overflows float64")
     return TsarfModel(
         coefficients=final,
         raw_forecast=raw,

@@ -12,10 +12,10 @@ loop runs. The Gram matrix and right-hand side stay a matmul: explicit sums
 or ``einsum`` round differently in the last bit, which can move the
 automatic moving-average length.
 
-A system fails when its Gram matrix or right-hand side is not finite
-(overflow) or when a pivot, squared, is not above SINGULARITY_RTOL times its
-own diagonal entry of X'X (singular), a rule that does not depend on the
-scale of the time axis. Both are per-system masks, so the first failing
+A system fails when its Gram matrix, right-hand side or coefficients are
+not finite (overflow) or when a pivot, squared, is not above SINGULARITY_RTOL
+times its own diagonal entry of X'X (singular), a rule that does not depend
+on the scale of the time axis. Both are per-system masks, so the first failing
 system of a stack is found without refactoring anything. Several responses
 sharing one design are solved against a single factorization.
 """
@@ -53,10 +53,10 @@ def ols_fit(X, y) -> np.ndarray:
     bitwise the coefficients it would get on its own, and the closed-form
     factor equals LAPACK's Cholesky factor bit for bit.
 
-    Raises RankDeficiencyError when X'X or X'y overflows, or when a Cholesky
-    pivot of X'X, squared, is not above SINGULARITY_RTOL times its diagonal
-    entry (a pivot that is not a real number counts as singular). Its
-    ``index`` is the first failing system (0 for a single design) and its
+    Raises RankDeficiencyError when X'X, X'y or the coefficients overflow, or
+    when a Cholesky pivot of X'X, squared, is not above SINGULARITY_RTOL times
+    its diagonal entry (a pivot that is not a real number counts as singular).
+    Its ``index`` is the first failing system (0 for a single design) and its
     message is that system's own.
     """
     X = np.asarray(X, dtype=float)
@@ -86,8 +86,17 @@ def ols_fit(X, y) -> np.ndarray:
         inv11 = 1.0 / l11
         l21 = g10 * inv11
         l22 = np.sqrt(g11 - l21 * l21)
-        overflow = ~(np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2)))
         singular = ~((l11 * l11 > SINGULARITY_RTOL * g00) & (l22 * l22 > SINGULARITY_RTOL * g11))
+        inv11, l21 = inv11[:, None], l21[:, None]
+        inv22 = 1.0 / l22[:, None]
+        z1 = rhs[:, 0] * inv11
+        z2 = (rhs[:, 1] - l21 * z1) * inv22
+        x2 = z2 * inv22
+        x1 = (z1 - l21 * x2) * inv11
+        beta = np.stack([x1, x2], axis=1)
+        # a singular system's coefficients mean nothing; a regular one's may overflow
+        solved = singular | np.isfinite(beta).all(axis=(1, 2))
+        overflow = ~(np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2)) & solved)
     failed = overflow | singular
     if failed.any():
         index = int(np.argmax(failed))
@@ -98,13 +107,6 @@ def ols_fit(X, y) -> np.ndarray:
         exc.index = index
         raise exc
 
-    inv11, l21 = inv11[:, None], l21[:, None]
-    inv22 = 1.0 / l22[:, None]
-    z1 = rhs[:, 0] * inv11
-    z2 = (rhs[:, 1] - l21 * z1) * inv22
-    x2 = z2 * inv22
-    x1 = (z1 - l21 * x2) * inv11
-    beta = np.stack([x1, x2], axis=1)
     if single:
         beta = beta[..., 0]
     return beta if stacked else beta[0]

@@ -44,7 +44,7 @@ def tsarf_entry(model: TsarfModel) -> dict:
         "epsilon": model.epsilon.tolist(),
         "coefficient_history": model.history.matrix.tolist(),
         "stage2_trend": model.trend.tolist(),
-        "ma_candidates": [[d, mse] for d, mse in model.ma_candidates],
+        "ma_candidates": [[d, mse if math.isfinite(mse) else None] for d, mse in model.ma_candidates],
     }
 
 

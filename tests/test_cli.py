@@ -814,6 +814,34 @@ def test_fit_tsarf_prints_line(tmp_path, line_file, capsys):
     assert (split["test_n"], split["policy"]) == (5, "test_len=k=5")
 
 
+def test_fit_tsarf_overflowing_holdout_mse_reads_null(tmp_path, capsys):
+    # slope 1e150 over the first windows predicts about 1e155 at the held-out
+    # window, whose squared error overflows float64
+    data = tmp_path / "steep.txt"
+    data.write_text("\n".join([f"{i}e-150" for i in range(1, 7)] + [f"{i}e5" for i in range(1, 7)]) + "\n")
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(data), "--model", "tsarf", "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    entry = strict_json(out.read_text())["models"][0]
+    assert entry["tsarf"]["ma_candidates"] == [[1, None]]
+    assert (entry["metrics"]["pmse"], entry["metrics"]["pp"]) == (None, None)
+
+
+def test_compare_overflowing_predicted_line_is_one_line_data_error(tmp_path, capsys):
+    # both window lines are finite, but stage 2 extrapolates past float64
+    counts = [c + step for c in (-5e307, 2e307) for step in (0.0, 1e300, 2e300)] + [3e307]
+    data = tmp_path / "far.csv"
+    data.write_text("time,count\n" + "".join(f"{i * 1e-3!r},{c!r}\n" for i, c in enumerate(counts, 1)))
+    argv = ["compare", str(data), "--models", "tsarf", "--window-size", "3", "--ma", "1", "--test-len", "1",
+            "--output", str(tmp_path / "r.json"), "--curves", str(tmp_path / "c.csv")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data error: the predicted line [inf, ") and err[0].endswith(
+        "] overflows float64"
+    )
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_every_public_name_resolves():
     assert [name for name in tsarf.__all__ if not hasattr(tsarf, name)] == []
 
@@ -857,6 +885,10 @@ def strict_json(text):
 @given(fuzz_inputs)
 # TSARF's PMSE and PP overflow float64 on this curve
 @example("1.7e9\n1.7e9\n1.7e9\n1.7e9\n1e200\n1e-320\n1e-320\n1.0\n1.0")
+# the holdout squared error overflows float64: the first windows have slope 1e150
+@example("\n".join([f"{i}e-150" for i in range(1, 7)] + [f"{i}e5" for i in range(1, 7)]))
+# every window's slope, about 1e311, overflows in the line fit
+@example("\n".join(["time,count", *(f"{i * 1e-5!r},{i * 1e306!r}" for i in range(1, 13))]))
 def test_compare_fuzz_exits_with_a_known_code(text):
     with tempfile.TemporaryDirectory() as tmp:
         data, report = Path(tmp) / "in.txt", Path(tmp) / "r.json"

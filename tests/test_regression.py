@@ -83,6 +83,16 @@ def test_overflowing_normal_equations_are_rank_deficient():
         ols_fit(X, np.arange(1.0, 6.0))
 
 
+def test_overflowing_coefficients_are_rank_deficient():
+    # X'X and X'y stay finite, but system 2's slope, 1e311, does not
+    t = 1e-5 * np.arange(1.0, 13.0).reshape(4, 3)
+    y = np.arange(1.0, 13.0).reshape(4, 3)
+    y[2] *= 1e306
+    with pytest.raises(RankDeficiencyError) as info:
+        ols_fit(design_matrix(t), y)
+    assert (info.value.index, str(info.value)) == (2, "normal equations overflow")
+
+
 def test_residual_orthogonality():
     rng = np.random.default_rng(7)
     for _ in range(25):
