@@ -225,7 +225,7 @@ def cmd_fit(args) -> int:
     _, _, entries, _ = _run_and_report(args, args.model)
     entry = entries[0]
     if entry["status"] != "ok":
-        print(f"error: {entry['error']}", file=sys.stderr)
+        print(f"convergence error: {entry['error']}", file=sys.stderr)
         return 3
     if "tsarf" in entry:
         info = entry["tsarf"]

@@ -11,19 +11,9 @@ Nelder-Mead, written in numpy, that advances all restarts together one step
 at a time. The update is that of
 ``scipy.optimize.minimize(method="Nelder-Mead")`` with the same simplex,
 coefficients, tolerances and limits, so each restart follows the path the
-scalar solver would take, bit for bit.
-
-At about a hundred points a fit costs numpy call overhead more than
-arithmetic, so both halves of a step keep their calls few. The simplex
-bookkeeping takes about 50 numpy calls per step for all live restarts
-together; the convergence and limit tests run only when some restart could
-pass them. The batched SSE ``_sse`` takes about 15 calls per batch of points
-and runs in place, and a step scores the live restarts in at most three
-batches: the reflection points, the one expansion or contraction point each
-restart needs, and the shrunk vertices. ``fit_srgm`` holds one
-``np.errstate`` around the whole search instead of one per batch. The
-vertices are ordered with ``np.argsort``, the call scipy makes, because the
-order of tied values depends on the sort.
+scalar solver would take, bit for bit. At about a hundred points a fit
+costs numpy call overhead more than arithmetic, so a step scores the live
+restarts in at most three in-place batches of ``_sse``.
 """
 
 from __future__ import annotations
@@ -36,12 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import GrowthCurve
-from .errors import (
-    ConvergenceError,
-    DegenerateDataError,
-    InsufficientDataError,
-    UsageError,
-)
+from .errors import ConvergenceError, DegenerateDataError, InsufficientDataError, UsageError
 
 #: Nelder-Mead iteration cap per restart; twice as many SSE evaluations.
 MAX_ITER = 10_000
@@ -266,12 +251,9 @@ def fit_srgm(train: GrowthCurve, kind: SrgmKind) -> SrgmFit:
     the winner is the converged restart with the lowest SSE (ties broken by
     restart order).
     """
-    t = train.times
-    counts = train.counts
+    t, counts = train.times, train.counts
     if train.n < kind.param_count + 1:
-        raise InsufficientDataError(
-            f"{kind.value} needs at least {kind.param_count + 1} points, have {train.n}"
-        )
+        raise InsufficientDataError(f"{kind.value} needs at least {kind.param_count + 1} points, have {train.n}")
     if np.max(counts) <= np.min(counts):
         raise DegenerateDataError("counts show no growth; nothing to fit")
     if np.max(t) <= np.min(t) or np.mean(t) <= 0:
@@ -282,23 +264,10 @@ def fit_srgm(train: GrowthCurve, kind: SrgmKind) -> SrgmFit:
         x, sse, nit = _nelder_mead(lambda p: _sse(kind, p, t, counts), starts)
     best = int(np.argmin(sse))
     if np.isinf(sse[best]):
-        raise ConvergenceError(
-            f"{kind.value}: none of the {len(starts)} restarts converged"
-        )
+        raise ConvergenceError(f"{kind.value}: none of the {len(starts)} restarts converged")
 
-    values = np.exp(x[best])
-    params = SrgmParams(
-        a=float(values[0]),
-        b=float(values[1]),
-        c=float(values[2]) if values.size == 3 else 1.0,
-    )
-    return SrgmFit(
-        kind=kind,
-        params=params,
-        sse=float(sse[best]),
-        iterations=int(nit[best]),
-        restarts=len(starts),
-    )
+    params = SrgmParams(*np.exp(x[best]).tolist())
+    return SrgmFit(kind, params, float(sse[best]), int(nit[best]), len(starts))
 
 
 def srgm_predict(fit: SrgmFit, times) -> np.ndarray:
@@ -306,20 +275,61 @@ def srgm_predict(fit: SrgmFit, times) -> np.ndarray:
     return mvf(fit.kind, fit.params, np.asarray(times, dtype=float))
 
 
-def simulate_nhpp(
-    kind: SrgmKind, params: SrgmParams, horizon: float, seed: int
-) -> np.ndarray:
+#: Taylor coefficients 1/n! of e^x - 1 - x, n = 18 down to 2: for 0 <= x <= 1
+#: the next term is below eps/4 of the sum.
+_EXPM1_LESS_X = [1.0 / math.factorial(n) for n in range(18, 1, -1)]
+#: The DSS mass fraction 1 - 2/e at x = 1, where its inverse changes equation.
+_DSS_SPLIT = 1.0 - 2.0 / math.e
+
+
+def _inverse_mvf(kind: SrgmKind, a, b, c, y: np.ndarray) -> np.ndarray:
+    """Times t with mvf(t) = y, for 0 <= y <= a (inf where y/a rounds to 1).
+
+    Each is within a few ulps times 1 + κ of the exact inverse, κ being its
+    condition number |u t'(u) / t| at u = y/a. GO and Weibull invert in closed
+    form, t = (-log1p(-u)/b)^(1/c). DSS takes Newton steps on
+    1 - (1+x)e^{-x} = u, x = b*t, in forms that do not cancel:
+
+    - x < 1: q = x/s, s = sqrt(2u), solves q^2 p(x) e^{-x} = 1/2, where
+      p(x) = (e^x - 1 - x)/x^2 is summed from its series; three steps from
+      the series of the root, 1 + s/3 + s^2/36.
+    - x >= 1: x - log1p(x) = w = -log1p(-u), which is convex; five steps from
+      w + log1p(w + log1p(w)), below the root.
+    """
+    u = y / a
+    if kind is not SrgmKind.DSS:
+        v = np.log1p(np.negative(u, out=u), out=u)
+        v /= -b
+        if kind is SrgmKind.GO:
+            return v
+        # 1/c is rounded, which costs v**(1/c) about |log v| ulps; one Newton
+        # step on t**c = v takes them out (it is 0/0 or inf/inf at t = 0 or inf)
+        t = v ** (1.0 / c)
+        step = t * ((v / t**c - 1.0) / c)
+        return t + np.where(np.isnan(step), 0.0, step)
+    low = u < _DSS_SPLIT
+    s = np.sqrt(2.0 * u[low])
+    q = 1.0 + s * (1.0 / 3.0 + s / 36.0)
+    for _ in range(3):
+        x = s * q
+        q = q * (1.0 - np.polyval(_EXPM1_LESS_X, x)) + np.exp(x) / (2.0 * q)
+    w = -np.log1p(-u[~low])
+    x = w + np.log1p(w + np.log1p(w))
+    for _ in range(5):
+        x = (w + np.log1p(x)) * (1.0 + 1.0 / x) - 1.0
+    u[low] = s * q
+    u[~low] = x
+    u /= b
+    return u
+
+
+def simulate_nhpp(kind: SrgmKind, params: SrgmParams, horizon: float, seed: int) -> np.ndarray:
     """Draw one NHPP sample path on [0, horizon]: its event times, sorted.
 
     The event count is Poisson with mean mvf(horizon); event times are i.i.d.
-    with CDF mvf(t)/mvf(horizon), inverted by bisection to 1e-9 * horizon.
-    Deterministic for a fixed seed (numpy PCG64 generator).
-
-    The targets are bisected in sorted order. Each time depends only on its
-    target and on the number of steps, and the widest interval of the same
-    set, in whatever order, sets that number; so the sorted times are bitwise
-    those of unsorted targets, while the ``below`` masks come in long runs
-    that the CPU predicts well.
+    with CDF mvf(t)/mvf(horizon), each the inverse mean value of a uniform
+    target y in [0, mvf(horizon)) (``_inverse_mvf``). Deterministic for a
+    fixed seed (numpy PCG64 generator).
     """
     if not (np.isfinite(horizon) and horizon > 0):
         raise UsageError(f"horizon must be positive and finite, got {horizon}")
@@ -327,9 +337,7 @@ def simulate_nhpp(
     if not np.isfinite(total):
         raise UsageError(f"mean value at the horizon is {total:g}; the parameters are too extreme to simulate")
     if total <= 1e-12:
-        raise DegenerateDataError(
-            f"mean value at the horizon is {total:g}; intensity is degenerate"
-        )
+        raise DegenerateDataError(f"mean value at the horizon is {total:g}; intensity is degenerate")
     if seed < 0:  # numpy's generator rejects it with a ValueError
         raise UsageError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
@@ -338,21 +346,13 @@ def simulate_nhpp(
     try:
         count = int(rng.poisson(total))
         target = rng.uniform(size=count) * total
-        lo = np.zeros(count)
-        hi = np.full(count, float(horizon))
     except (ValueError, MemoryError):
         raise UsageError(f"expected failure count {total:g} is too large to simulate") from None
-    if count == 0:
-        return np.empty(0)
-    target.sort()
-    tol = 1e-9 * horizon
-    with np.errstate(over="ignore", invalid="ignore"):
-        while np.max(hi - lo) > tol:
-            mid = 0.5 * (lo + hi)
-            below = _mvf(kind, params.a, params.b, params.c, mid) < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-    return np.sort(0.5 * (lo + hi))
+    # y/a may round to 1, whose inverse is inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        times = _inverse_mvf(kind, params.a, params.b, params.c, target)
+    # the rounding of mvf(horizon) and of the target can put a time past the horizon
+    return np.sort(np.minimum(times, horizon, out=times))
 
 
 def poisson_band(mean: float) -> tuple[int, int]:

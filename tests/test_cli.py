@@ -241,9 +241,10 @@ def test_simulate_and_compare_golden_bytes(tmp_path, capsys):
     assert main(["compare", str(sim), "--models", "tsarf", "--output", str(tmp_path / "report.json"),
                  "--curves", str(curves)]) == 0
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (sim, curves)}
+    # each of the 2 660 times in sim.txt is the .10g of the 50-digit inverse of its target
     assert digests == {
-        "sim.txt": "18ef6028287952589936b9ed7e12bef0d0601a582fc5ca72ed456bf0194cbae5",
-        "curves.csv": "ee3b22e8f4332469903dbbba4f0aee992169132b56f415542e4cad9955b7091a",
+        "sim.txt": "8e3d8df1dcb2aa0080cab77f04ca46648bc3ac2ead9210ea434c8bab94df1291",
+        "curves.csv": "8fe4bf65523cc954b32b14722f10f2667e5969617a635d132e2d86acf753e0e9",
     }
 
 
@@ -787,6 +788,12 @@ def test_fit_model_name_parses_like_compare_models(tmp_path, go_file, capsys):
     assert runs[0][0].out.startswith("go: a=")
 
 
+def test_fit_convergence_failure_is_one_convergence_error_line(tmp_path, go_file, capsys, monkeypatch):
+    monkeypatch.setattr("tsarf.srgm.MAX_ITER", 2)
+    assert main(["fit", str(go_file), "--model", "go", "--output", str(tmp_path / "fit.json")]) == 3
+    assert capsys.readouterr().err.splitlines() == ["convergence error: go: none of the 9 restarts converged"]
+
+
 @pytest.mark.parametrize(("model", "message"), [
     ("go,dss", "fit takes one model, got 2"),
     ("arima", "unknown model 'arima'; expected subset of tsarf,dss,go,weibull"),
@@ -890,17 +897,42 @@ def strict_json(text):
 # every window's slope, about 1e311, overflows in the line fit
 @example("\n".join(["time,count", *(f"{i * 1e-5!r},{i * 1e306!r}" for i in range(1, 13))]))
 def test_compare_fuzz_exits_with_a_known_code(text):
+    assert_one_line_contract(["compare", "--models", "tsarf,go"], text)
+
+
+fuzz_commands = st.one_of(
+    st.just(["compare", "--models", "tsarf,go,dss,weibull"]),
+    st.sampled_from(["tsarf", "go", "dss", "weibull"]).map(lambda model: ["fit", "--model", model]),
+    st.sampled_from([("window", "3..6"), ("window", "3,10,100"), ("ma", "1..3"), ("ma", "1,5,40")]).map(
+        lambda case: ["sweep", "--param", case[0], "--values", case[1]]
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fuzz_commands, fuzz_inputs)
+def test_fit_sweep_and_all_models_fuzz_exit_with_a_known_code(command, text):
+    assert_one_line_contract(command, text)
+
+
+def assert_one_line_contract(command, text):
+    """The command on a file of the text exits 0-3, every stderr line carries a
+    known prefix, and a JSON report it writes is strict JSON."""
     with tempfile.TemporaryDirectory() as tmp:
         data, report = Path(tmp) / "in.txt", Path(tmp) / "r.json"
         data.write_text(text + "\n")
+        argv = [command[0], str(data), *command[1:]]
+        if command[0] == "sweep":
+            argv += ["--output", str(Path(tmp) / "sweep.csv")]
+        else:
+            argv += ["--output", str(report)]
+        if command[0] == "compare":
+            argv += ["--curves", str(Path(tmp) / "c.csv")]
         stderr = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            rc = main(
-                ["compare", str(data), "--models", "tsarf,go",
-                 "--output", str(report), "--curves", str(Path(tmp) / "c.csv")]
-            )
+            rc = main(argv)
         assert rc in (0, 1, 2, 3)
         prefixes = ("warning: ", "usage error: ", "data error: ", "convergence error: ")
         assert all(line.startswith(prefixes) for line in stderr.getvalue().splitlines())
-        if rc in (0, 3):
+        if rc in (0, 3) and command[0] != "sweep":
             assert strict_json(report.read_text())["models"]

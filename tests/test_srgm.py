@@ -1,4 +1,6 @@
 import itertools
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -320,25 +322,47 @@ class TestPredict:
         assert np.all(np.diff(pred) >= 0)
 
 
-def unsorted_bisection(kind, params, horizon, seed):
-    """The simulator as it was before its targets were sorted."""
-    total = mvf(kind, params, horizon)
-    if total <= 1e-12:
-        raise DegenerateDataError("degenerate intensity")
-    rng = np.random.default_rng(seed)
-    count = int(rng.poisson(total))
-    target = rng.uniform(size=count) * total
-    if count == 0:
-        return np.empty(0)
-    lo = np.zeros(count)
-    hi = np.full(count, float(horizon))
-    tol = 1e-9 * horizon
-    while np.max(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        below = mvf(kind, params, mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return np.sort(0.5 * (lo + hi))
+EPS = np.finfo(float).eps
+
+
+def decimal_inverse(kind, a, b, c, y):
+    """The time t with mvf(t) = y in exact arithmetic, to 50 significant
+    digits, and the condition number κ = |u t'(u) / t| of the inverse at
+    u = y/a; t is inf when y >= a."""
+    if y == 0:
+        return 0.0, 0.0
+    with localcontext() as ctx:
+        # 1 - u cancels the digits of u's exponent, and so does x - ln(1 + x) at small u
+        ctx.prec = 55 + max(0, -(Decimal(y) / Decimal(a)).adjusted())
+        u = Decimal(y) / Decimal(a)
+        if u >= 1:
+            return math.inf, math.inf
+        w = -(1 - u).ln()
+        if kind is not SrgmKind.DSS:
+            shape = Decimal(c) if kind is SrgmKind.WEIBULL else Decimal(1)
+            return float((w / Decimal(b)) ** (1 / shape)), float(u / ((1 - u) * w) / shape)
+        # 1 - (1 + x)e^-x = u is x - ln(1 + x) = w, convex in x; Newton from
+        # the bound w + sqrt(w^2 + 2w), which lies above the root, falls to it
+        x = w + (w * w + 2 * w).sqrt()
+        for _ in range(200):
+            step = (x - (1 + x).ln() - w) * (1 + x) / x
+            x -= step
+            if step <= x.scaleb(5 - ctx.prec):
+                break
+        return float(x / Decimal(b)), float(u * x.exp() / (x * x))
+
+
+def assert_within_condition_ulps(times, targets, kind, params, horizon):
+    """Each time is within 8 (1 + κ) ulps of the exact inverse of its target,
+    both clipped to the horizon; below the normal range an ulp is that of the
+    least normal float."""
+    for t, y in zip(times.tolist(), targets.tolist()):
+        exact, kappa = decimal_inverse(kind, params.a, params.b, params.c, y)
+        if math.isinf(exact):
+            assert t == horizon, (y, t)
+        else:
+            bound = 8 * (1 + kappa) * EPS * max(exact, np.finfo(float).tiny)
+            assert abs(t - min(exact, horizon)) <= bound, (y, t, exact, kappa)
 
 
 class TestSimulate:
@@ -383,36 +407,84 @@ class TestSimulate:
         with pytest.raises(UsageError, match="^seed must be a non-negative integer, got -1$"):
             simulate_nhpp(SrgmKind.GO, self.params, horizon=25.0, seed=-1)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
         st.sampled_from(list(SrgmKind)),
-        st.integers(0, 2**32),
-        st.floats(-2.0, 5.0).map(lambda e: 10.0**e),
-        st.floats(-6.0, 1.0).map(lambda e: 10.0**e),
+        st.floats(-1.0, 6.0).map(lambda e: 10.0**e),
+        st.floats(1e-3, 30.0),
         st.floats(0.3, 3.0),
-        st.one_of(st.sampled_from([333.3, 1e-3, 7e6]), st.floats(1e-3, 1e4)),
+        st.floats(-3.0, 4.0).map(lambda e: 10.0**e),
+        # fractions of the mean value at the horizon; from 1e-280 up, y/a stays a normal float
+        st.lists(
+            st.one_of(
+                st.floats(-280.0, -1.0).map(lambda e: 10.0**e),
+                st.floats(1e-280, 1.0),
+                st.floats(-16.0, -1.0).map(lambda e: 1.0 - 10.0**e),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
     )
-    def test_sorted_targets_give_the_unsorted_bisection_bitwise(self, kind, seed, a, b, c, horizon):
+    def test_inverse_is_within_eight_condition_ulps_of_the_decimal_inverse(
+        self, kind, a, x_horizon, c, horizon, fractions
+    ):
+        # x_horizon is b * horizon^c, the mvf's argument at the horizon
+        b = x_horizon / (horizon**c if kind is SrgmKind.WEIBULL else horizon)
         params = SrgmParams(a=a, b=b, c=c)
-        try:
-            expected = unsorted_bisection(kind, params, horizon, seed)
-        except DegenerateDataError:
-            with pytest.raises(DegenerateDataError):
-                simulate_nhpp(kind, params, horizon, seed)
-            return
-        got = simulate_nhpp(kind, params, horizon, seed)
-        assert got.tobytes() == expected.tobytes()
+        targets = np.array(fractions) * mvf(kind, params, horizon)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as simulate_nhpp
+            times = np.minimum(srgm._inverse_mvf(kind, a, b, c, targets), horizon)
+        assert_within_condition_ulps(times, targets, kind, params, horizon)
+
+    @pytest.mark.parametrize("kind", list(SrgmKind))
+    def test_draws_are_unchanged_and_each_time_inverts_its_own(self, kind):
+        params, horizon = SrgmParams(a=30.0, b=0.1, c=1.3), 25.0
+        total = mvf(kind, params, horizon)
+        for seed in (0, 1, 2**32):
+            rng = np.random.default_rng(seed)
+            count = int(rng.poisson(total))
+            targets = np.sort(rng.uniform(size=count) * total)
+            times = simulate_nhpp(kind, params, horizon, seed)
+            assert times.size == count
+            assert_within_condition_ulps(times, targets, kind, params, horizon)
+
+    @pytest.mark.parametrize("kind", list(SrgmKind))
+    def test_mass_near_one_stays_within_the_horizon_without_warnings(self, kind):
+        # b * horizon = 50: the mean value rounds to a, and y/a can round to 1
+        params, horizon = SrgmParams(a=2000.0, b=2.0, c=1.0), 25.0
+        times = simulate_nhpp(kind, params, horizon, seed=5)
+        assert times.size > 0 and np.all(np.diff(times) >= 0)
+        assert times[0] >= 0.0 and times[-1] <= horizon
+
+    @pytest.mark.parametrize("kind", list(SrgmKind))
+    def test_end_targets_map_to_zero_and_the_horizon(self, kind, monkeypatch):
+        class Draws:
+            def poisson(self, mean):
+                return 3
+
+            def uniform(self, size):
+                return np.array([0.0, 0.5, 1.0])  # numpy never draws 1.0
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Draws())
+        params, horizon = SrgmParams(a=10.0, b=2.0, c=1.5), 25.0
+        times = simulate_nhpp(kind, params, horizon, seed=0)
+        assert times[0] == 0.0 and 0.0 < times[1] < horizon and times[2] == horizon
 
     def test_event_time_distribution_tracks_mvf(self):
         # empirical CDF at the horizon midpoint vs mvf ratio, pooled over seeds
         t_half = 12.5
-        expected = mvf(SrgmKind.GO, self.params, t_half) / mvf(SrgmKind.GO, self.params, 25.0)
-        below = total = 0
-        for seed in range(120):
-            times = simulate_nhpp(SrgmKind.GO, self.params, horizon=25.0, seed=seed)
-            below += int(np.sum(times <= t_half))
-            total += len(times)
-        assert below / total == pytest.approx(expected, abs=0.02)
+        for kind, params in [
+            (SrgmKind.GO, self.params),
+            (SrgmKind.DSS, SrgmParams(a=60.0, b=0.15)),
+            (SrgmKind.WEIBULL, SrgmParams(a=60.0, b=0.01, c=1.5)),
+        ]:
+            expected = mvf(kind, params, t_half) / mvf(kind, params, 25.0)
+            below = total = 0
+            for seed in range(120):
+                times = simulate_nhpp(kind, params, horizon=25.0, seed=seed)
+                below += int(np.sum(times <= t_half))
+                total += len(times)
+            assert below / total == pytest.approx(expected, abs=0.02), kind
 
 
 def test_poisson_band_equals_scipy_interval():
