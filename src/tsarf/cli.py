@@ -10,7 +10,6 @@ relative output paths.
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from pathlib import Path
@@ -21,7 +20,7 @@ from . import __version__
 from .dataset import GrowthCurve, SplitCurve, read_curve_file, split
 from .errors import ConvergenceError, DataError, TsarfError, UsageError
 from .metrics import evaluate_model
-from .pipeline import predicted_line, tsarf_forecast, window_fitted_values
+from .pipeline import TsarfModel, predicted_line, tsarf_forecast, window_fitted_values
 from .report import (
     MODEL_LABELS,
     order_models,
@@ -99,6 +98,22 @@ def _resolve_output(path: str | Path) -> Path:
     return path
 
 
+def _read(path: str) -> tuple[GrowthCurve, dict]:
+    """``read_curve_file``, with a warning when the failure times had to be sorted."""
+    curve, meta = read_curve_file(path)
+    if meta["required_sorting"]:
+        print(f"warning: failure times were not sorted; sorting {meta['n']} entries", file=sys.stderr)
+    return curve, meta
+
+
+def _forecast(train: GrowthCurve, k: int | None, d: int | None) -> TsarfModel:
+    """``tsarf_forecast``, with a warning when too few windows fix d at 1."""
+    model = tsarf_forecast(train, k, d)
+    if model.d_fallback:
+        print(f"warning: only {model.history.W} windows: falling back to moving-average length 1", file=sys.stderr)
+    return model
+
+
 def _run_models(
     curve: GrowthCurve, parts: SplitCurve, models: list[str], k: int | None, d: int | None
 ) -> tuple[list[dict], dict[str, np.ndarray]]:
@@ -112,7 +127,7 @@ def _run_models(
         entries.append(entry)
         try:
             if name == "tsarf":
-                model = tsarf_forecast(parts.train, k, d)
+                model = _forecast(parts.train, k, d)
                 pred_test = predicted_line(model, parts.test.times)
                 predictions[name] = np.concatenate(
                     [window_fitted_values(model, parts.train), pred_test]
@@ -134,7 +149,7 @@ def _run_models(
 
 def _run_and_report(args, models: list[str]) -> tuple[GrowthCurve, SplitCurve, list[dict], dict[str, np.ndarray]]:
     """Read, split and run the models of ``compare`` or ``fit``, then write the run report."""
-    curve, meta = read_curve_file(args.input)
+    curve, meta = _read(args.input)
     k = _parse_auto_int(args.window_size, "window size", 3)
     parts = split(curve, args.test_len, test_fraction=args.test_fraction, k=k)
     d = _parse_auto_int(args.ma, "moving-average length", 1)
@@ -166,7 +181,7 @@ def cmd_sweep(args) -> int:
     # another input shares that stem
     stems = [Path(path).stem for path in args.inputs]
     names = [path if stems.count(stem) > 1 else stem for path, stem in zip(args.inputs, stems)]
-    datasets = [(name, read_curve_file(path)[0]) for name, path in zip(names, args.inputs)]
+    datasets = [(name, _read(path)[0]) for name, path in zip(names, args.inputs)]
     # no window (2k <= train_n) or length (d <= W - 1) above every point count fits
     longest = max(curve.n for _, curve in datasets)
     if isinstance(values, range) and values[-1] > longest:
@@ -181,7 +196,7 @@ def cmd_sweep(args) -> int:
         for name, curve in datasets:
             try:
                 parts = split(curve, args.test_len, test_fraction=args.test_fraction, k=cell_k)
-                model = tsarf_forecast(parts.train, cell_k, cell_d)
+                model = _forecast(parts.train, cell_k, cell_d)
                 metrics = evaluate_model(predicted_line(model, parts.test.times), parts.test.counts)
                 row.append("n/a" if metrics["pmse"] is None else f"{metrics['pmse']:.6g}")
             except TsarfError as exc:
@@ -300,11 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    # library warnings (unsorted input, too few windows) read like the CLI's own
-    handler = logging.StreamHandler()
-    handler.setFormatter(logging.Formatter("warning: %(message)s"))
-    logger = logging.getLogger("tsarf")
-    logger.addHandler(handler)
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -317,8 +327,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return 3
-    finally:
-        logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ Two on-disk formats are understood:
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass
 from itertools import chain, compress, islice
 from pathlib import Path
@@ -19,8 +18,6 @@ from typing import Iterable, TextIO
 import numpy as np
 
 from .errors import DataError, UsageError
-
-logger = logging.getLogger(__name__)
 
 #: Lines parsed at a time, which bounds the strings held at once.
 _BLOCK_LINES = 8192
@@ -90,10 +87,10 @@ def load_failure_times(source: TextIO | Iterable[str]) -> tuple[GrowthCurve, boo
     """Parse newline-delimited failure times into a growth curve.
 
     Point i of the curve is (i-th smallest time, i), i = 1..n. Blank lines and
-    lines starting with ``#`` are ignored. Unsorted input is sorted with a
-    warning, and the returned flag says whether it had to be; negative,
-    non-finite, or non-numeric entries are rejected with the number of the
-    first offending line.
+    lines starting with ``#`` are ignored. Unsorted input is sorted, and the
+    returned flag says whether it had to be; negative, non-finite, or
+    non-numeric entries are rejected with the number of the first offending
+    line.
     """
     blocks = []
     lines_before = 0
@@ -139,7 +136,6 @@ def load_failure_times(source: TextIO | Iterable[str]) -> tuple[GrowthCurve, boo
         raise DataError("no failure times in input")
     required_sorting = bool(np.any(np.diff(arr) < 0))
     if required_sorting:
-        logger.warning("failure times were not sorted; sorting %d entries", arr.size)
         arr = np.sort(arr)
     return GrowthCurve(arr, np.arange(1, arr.size + 1, dtype=float)), required_sorting
 

@@ -14,7 +14,6 @@ dropped, so the final window always ends at the training boundary.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +27,6 @@ from .errors import (
     UsageError,
 )
 from .regression import design_matrix, ols_fit
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -150,13 +147,10 @@ def select_ma_length(
     all W - 2 blended lines are scored against the held-out points at once.
     RMSEs within 1000·eps·max|y_hold| of the least differ only by rounding,
     so they tie; ties break toward the smallest d. With fewer than 3 windows
-    there is nothing to hold out, so d = 1 is returned with a diagnostic.
+    there is nothing to hold out, so d = 1 is returned as a fallback.
     """
     n_windows = history.W
     if n_windows < 3:
-        logger.warning(
-            "only %d windows: falling back to moving-average length 1", n_windows
-        )
         return 1, (), True
 
     sub = history.matrix[:-1]

@@ -122,9 +122,9 @@ def write_curves_csv(
     """Emit header ``t,actual,<model>...,partition``; NaN cells are left blank.
 
     Rows end in ``\\r\\n``, as ``csv.writer`` writes them; no cell holds a
-    comma or a quote, so cells are joined without quoting. Runs of rows with
-    finite predictions are one ``%`` on a repeated row template per partition;
-    the few rows with a blank (dropped points) are formatted one at a time.
+    comma or a quote, so cells are joined without quoting. Each run of rows in
+    one partition whose predictions are finite in the same columns is one ``%``
+    on a repeated row template, which leaves the other prediction cells blank.
     """
     models = order_models(list(predictions))
     with open(path, "w", newline="") as handle:
@@ -133,17 +133,17 @@ def write_curves_csv(
             columns = [c[start:start + _CSV_BLOCK_ROWS] for c in (times, actual, *(predictions[m] for m in models))]
             formats = [_cell_format(column) for column in columns]
             cells = np.column_stack(columns)
-            finite = np.isfinite(cells[:, 2:]).all(axis=1)
+            shown = np.isfinite(cells)
+            shown[:, :2] = True  # t and actual print even where not finite
             train = np.arange(start, start + len(cells)) < train_n
-            cuts = (np.flatnonzero((finite[1:] != finite[:-1]) | (train[1:] != train[:-1])) + 1).tolist()
+            # a run ends where the partition or the finiteness of some cell changes
+            flips = np.flatnonzero(shown[1:] != shown[:-1]) // shown.shape[1]
+            cuts = (np.union1d(flips, np.flatnonzero(train[1:] != train[:-1])) + 1).tolist()
             for lo, hi in zip([0, *cuts], [*cuts, len(cells)]):
+                # "%.0s" formats a value as nothing, which leaves its cell blank
+                row = ",".join(f if s else "%.0s" for f, s in zip(formats, shown[lo]))
                 end = ",train\r\n" if train[lo] else ",test\r\n"
-                if finite[lo]:
-                    handle.write((",".join(formats) + end) * (hi - lo) % tuple(cells[lo:hi].ravel().tolist()))
-                else:
-                    for row in cells[lo:hi].tolist():
-                        shown = [f % v if i < 2 or math.isfinite(v) else "" for i, (f, v) in enumerate(zip(formats, row))]
-                        handle.write(",".join(shown) + end)
+                handle.write((row + end) * (hi - lo) % tuple(cells[lo:hi].ravel().tolist()))
 
 
 def write_failure_times(path: str | Path, header: list[str], times: np.ndarray) -> None:

@@ -295,6 +295,21 @@ def test_library_warnings_carry_cli_prefix(tmp_path):
     ]
 
 
+def test_warnings_print_once_under_a_configured_root_logger(tmp_path):
+    # an embedding program's logging.basicConfig() attaches a stderr handler to
+    # the root logger, which must not print the CLI's warnings a second time
+    path = tmp_path / "unsorted.txt"
+    path.write_text("\n".join(map(str, [3, 1, 2, 5, 4, 6, 8, 7, 9, 11, 10, 12])) + "\n")
+    argv = ["compare", str(path), "--models", "tsarf", "--window-size", "4"]
+    code = f"import logging, sys\nfrom tsarf.cli import main\nlogging.basicConfig()\nsys.exit(main({argv!r}))"
+    result = run_fresh("-c", code, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines() == [
+        "warning: failure times were not sorted; sorting 12 entries",
+        "warning: only 2 windows: falling back to moving-average length 1",
+    ]
+
+
 def test_compare_bad_test_len_exits_1(line_file, capsys):
     rc = main(["compare", str(line_file), "--test-len", "0"])
     assert rc == 1

@@ -1,9 +1,10 @@
 """Differential tests of the program against the frozen seed copy.
 
 ``perfbench/control/tsarf_control`` is the program as the benchmark first
-recorded it, kept unedited as its control. On noisy growth curves the
-forecast must pick the same window size, the same moving-average length up
-to rounding ties, and the same test PMSE within the benchmark's tolerance;
+recorded it, kept unedited as its control. On noisy growth curves, exact
+lines and tied times at any time scale the forecast must pick the same window
+size, the same moving-average length up to rounding ties, and the same test
+PMSE within the benchmark's tolerance, or fail as the control does;
 each SRGM fit must fail as the control's does, or reach an SSE no higher.
 """
 
@@ -30,18 +31,26 @@ SSE_RTOL = 1e-9
 TIE = 1000 * np.finfo(float).eps
 
 
-def noisy_curve(kind: str, n: int, rng: np.random.Generator) -> GrowthCurve:
-    """n failure times drawn from the shape of a GO, DSS or Weibull mean value
-    function at a random time scale, or a changepoint curve."""
+def shaped_times(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n sorted failure times drawn from the shape of a GO, DSS or Weibull
+    mean value function, or from a changepoint curve."""
     if kind == "changepoint":
-        return make_changepoint_curve(rng, n)
+        return make_changepoint_curve(rng, n).times
     if kind == "go":
         times = rng.exponential(size=n)
     elif kind == "dss":
         times = rng.gamma(2.0, size=n)  # 1 - (1 + t) e^-t is the Gamma(2) CDF
     else:
         times = rng.weibull(rng.uniform(0.5, 3.0), size=n)
-    return GrowthCurve(np.sort(times) * 10.0 ** rng.uniform(-1, 3), np.arange(1.0, n + 1))
+    return np.sort(times)
+
+
+def noisy_curve(kind: str, n: int, rng: np.random.Generator) -> GrowthCurve:
+    """A noisy curve of the given shape; GO, DSS and Weibull shapes at a
+    random time scale."""
+    if kind == "changepoint":
+        return make_changepoint_curve(rng, n)
+    return GrowthCurve(shaped_times(kind, n, rng) * 10.0 ** rng.uniform(-1, 3), np.arange(1.0, n + 1))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -70,6 +79,82 @@ def test_tsarf_forecast_matches_control(kind, n, k, seed):
     got = pmse(predicted_line(model, parts.test.times), parts.test.counts)
     want = control.pmse(control.predicted_line(ref, parts.test.times), parts.test.counts)
     assert got == pytest.approx(want, rel=PMSE_RTOL)
+
+
+def drawn_times(shape: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n sorted times spanning about n: the exact line t = count - 1, a noisy
+    shape, or a noisy shape rounded onto n/4 to n/2 ticks, so times tie."""
+    if shape == "line":
+        return np.arange(float(n))
+    if shape == "ties":
+        times = shaped_times(rng.choice(["go", "dss", "weibull", "changepoint"]), n, rng)
+        ticks = int(rng.integers(n // 4, n // 2))
+        return np.ceil(times / times[-1] * ticks) * (n / ticks)
+    times = shaped_times(shape, n, rng)
+    return times * (n / times[-1])
+
+
+def _forecast_or_error(package, train: GrowthCurve, k: int | None, d: int | None = None):
+    """The package's TSARF model on the training curve, or the name of the error it raises."""
+    try:
+        if package is tsarf:
+            return tsarf.tsarf_forecast(train, k, d)
+        return control.tsarf_forecast(control.GrowthCurve(train.times, train.counts), control.TsarfConfig(k=k, d=d))
+    except package.TsarfError as exc:
+        return type(exc).__name__
+
+
+#: On an exact line every holdout RMSE is rounding noise, which grows with
+#: the number of windows while the tie tolerance does not; from this many
+#: windows on, d is not compared (ROADMAP item 4, CHANGES FOUND).
+LONG_HISTORY = 50
+
+
+# The program runs on the curve at time scale 10^log_scale, and the control on
+# the curve in its own unit, where its pivot test holds: that test compares
+# against the largest diagonal of X'X and so rejects windows at time scales
+# far from 1 (CHANGES, MENDED), while a TSARF forecast does not depend on the
+# time unit. An offset curve, whose uncentred window fits do make the forecast
+# depend on the unit (ROADMAP item 4, CHANGES FOUND), stays in its own unit.
+# Offsets are in units of the mean gap; those >= 1e8 make the program's own
+# window fits degenerate (item 4) and are not drawn.
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    shape=st.sampled_from(["line", "ties", "go", "dss", "weibull", "changepoint"]),
+    n=st.integers(30, 400),
+    k=st.none() | st.integers(3, 10),
+    log_scale=st.floats(-6, 6),
+    offset=st.just(0.0) | st.floats(0, 8, exclude_max=True).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tsarf_forecast_matches_control_on_lines_ties_and_scales(shape, n, k, log_scale, offset, seed):
+    times = drawn_times(shape, n, np.random.default_rng(seed)) + offset
+    counts = np.arange(1.0, n + 1)
+    parts = split(GrowthCurve(times * (1.0 if offset else 10.0**log_scale), counts), k=k)
+    unit = split(GrowthCurve(times, counts), k=k)
+    model = _forecast_or_error(tsarf, parts.train, k)
+    ref = _forecast_or_error(control, unit.train, k)
+    if ref == "DegenerateWindowError" and offset and not isinstance(model, str):
+        return  # the control's pivot test also rejects windows far from t = 0 (CHANGES, MENDED)
+    if isinstance(model, str) or isinstance(ref, str):
+        assert model == ref
+        return
+    assert model.history.k == ref.k_used
+    if shape == "line" and offset:
+        return  # uncentred window fits leave rounding noise that decides d and PMSE (ROADMAP item 4)
+
+    d = model.d_used
+    if d != ref.d_used:
+        if not (shape == "line" and model.history.W >= LONG_HISTORY):
+            rmse = {length: np.sqrt(mse) for length, mse in model.ma_candidates}
+            tolerance = TIE * np.abs(parts.train.counts[-model.history.k:]).max()
+            assert abs(rmse[d] - rmse[ref.d_used]) <= tolerance
+        ref = _forecast_or_error(control, unit.train, k, d)
+
+    got = pmse(predicted_line(model, parts.test.times), parts.test.counts)
+    want = control.pmse(control.predicted_line(ref, unit.test.times), unit.test.counts)
+    if not (shape == "line" and max(got, want) <= 1e-9):
+        assert got == pytest.approx(want, rel=PMSE_RTOL)
 
 
 def _fit_or_error(package, curve: GrowthCurve, kind: str):

@@ -1,4 +1,5 @@
 import io
+import logging
 from unittest import mock
 
 import numpy as np
@@ -41,6 +42,13 @@ def test_load_unsorted_sets_flag():
     assert curve.times.tolist() == [1.0, 4.0]
     assert curve.counts.tolist() == [1.0, 2.0]
     assert required_sorting
+
+
+def test_load_unsorted_logs_nothing(caplog):
+    caplog.set_level(logging.DEBUG)
+    _, required_sorting = load_failure_times(io.StringIO("4.0\n1.0"))
+    assert required_sorting
+    assert caplog.records == []
 
 
 def test_load_negative_time_reports_line():

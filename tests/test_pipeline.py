@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -327,6 +329,11 @@ class TestForecastEndToEnd:
         model = tsarf_forecast(line_curve(10), k=5)
         assert model.d_used == 1
         assert model.d_fallback
+
+    def test_fallback_logs_nothing(self, line_curve, caplog):
+        caplog.set_level(logging.DEBUG)
+        assert tsarf_forecast(line_curve(10), k=5).d_fallback
+        assert caplog.records == []
 
     def test_window_fitted_values_cover_windows_only(self, line_curve):
         curve = line_curve(22)

@@ -1,6 +1,11 @@
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,20 +291,91 @@ def test_every_restart_capped_raises(monkeypatch):
         fit_srgm(go_curve(), SrgmKind.GO)
 
 
-# Rescaling time moves an interior fit's SSE only by rounding. The boundary
-# fits on these curves (changepoint GO and Weibull, line Weibull) run towards
-# a -> inf, b -> 0, where 1 - exp(-b*t) keeps few digits, and their SSE moves
-# by up to 9e-2 relative (ROADMAP item 2); they are left out until then.
-@pytest.mark.parametrize(
-    "curve_name, kind",
-    [("changepoint", SrgmKind.DSS), ("go", SrgmKind.DSS), ("line", SrgmKind.DSS), ("line", SrgmKind.GO)],
-)
+#: Fits on ORACLE_CURVES with an interior optimum.
+INTERIOR_FITS = [("changepoint", SrgmKind.DSS), ("go", SrgmKind.DSS), ("line", SrgmKind.DSS), ("line", SrgmKind.GO)]
+#: Fits on ORACLE_CURVES that run towards a -> inf, b -> 0, where
+#: 1 - exp(-b*t) keeps few digits, so their SSE carries rounding noise
+#: (ROADMAP item 3). GO and Weibull on go_curve() end at an SSE near 1e-14,
+#: which is rounding noise too, and are in neither list.
+BOUNDARY_FITS = [("changepoint", SrgmKind.GO), ("changepoint", SrgmKind.WEIBULL), ("line", SrgmKind.WEIBULL)]
+
+
+# Rescaling time moves an interior fit's SSE only by rounding; a boundary
+# fit's moves by up to 9e-2 relative, so those are left out until item 3.
+@pytest.mark.parametrize("curve_name, kind", INTERIOR_FITS)
 def test_interior_fit_sse_is_invariant_to_time_scale(curve_name, kind):
     curve = ORACLE_CURVES[curve_name]()
     base = fit_srgm(curve, kind).sse
     for scale in (1e-3, 0.1, 3.7, 60.0, 3600.0, 1e6):
         scaled = fit_srgm(GrowthCurve(curve.times * scale, curve.counts), kind)
         assert scaled.sse == pytest.approx(base, rel=1e-14, abs=0)
+
+
+def _simd_targets() -> list[str]:
+    """The SIMD targets above its baseline that numpy dispatches to on this CPU."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+
+
+def _exp_probe() -> str:
+    return np.exp(np.linspace(-700.0, 700.0, 1001)).tobytes().hex()
+
+
+#: Reads [times, counts, kind] triples from stdin; prints the probe and each SSE.
+_CHILD_FITS = """
+import json, sys
+import numpy as np
+from tsarf import GrowthCurve, SrgmKind, fit_srgm
+fits = json.load(sys.stdin)
+probe = np.exp(np.linspace(-700.0, 700.0, 1001)).tobytes().hex()
+print(json.dumps([probe, [fit_srgm(GrowthCurve(t, c), SrgmKind(kind)).sse for t, c, kind in fits]]))
+"""
+
+
+@pytest.fixture(scope="module")
+def baseline_kernel_sses():
+    """The SSE of each fit in INTERIOR_FITS and BOUNDARY_FITS, in this process
+    and in a child whose numpy runs only its baseline kernels."""
+    targets = _simd_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no SIMD target above its baseline here")
+    fits = [*INTERIOR_FITS, *BOUNDARY_FITS]
+    curves = {name: ORACLE_CURVES[name]() for name, _ in fits}
+    payload = [[curves[name].times.tolist(), curves[name].counts.tolist(), kind.value] for name, kind in fits]
+    src = str(Path(srgm.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    result = subprocess.run(
+        [sys.executable, "-c", _CHILD_FITS], input=json.dumps(payload), env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    probe, sses = json.loads(result.stdout)
+    if probe == _exp_probe():
+        pytest.skip(f"np.exp gives the same bits with {' '.join(targets)} disabled")
+    here = {(name, kind): fit_srgm(curves[name], kind).sse for name, kind in fits}
+    return here, dict(zip(fits, sses))
+
+
+# CI machines differ in the SIMD kernels numpy picks (ROADMAP item 9). The
+# interior fits agree to rounding; the boundary fits move by up to 6e-2
+# until item 3 removes the noise they fit.
+@pytest.mark.parametrize(
+    "curve_name, kind",
+    INTERIOR_FITS
+    + [
+        pytest.param(*fit, marks=pytest.mark.xfail(strict=True, reason="SIMD exp noise (ROADMAP item 3)"))
+        for fit in BOUNDARY_FITS
+    ],
+)
+def test_fit_sse_does_not_depend_on_numpy_simd_kernels(curve_name, kind, baseline_kernel_sses):
+    here, baseline = baseline_kernel_sses
+    assert baseline[curve_name, kind] == pytest.approx(here[curve_name, kind], rel=1e-12, abs=0)
 
 
 class TestPredict:
