@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from tsarf import SrgmKind, SrgmParams, simulate_nhpp
+from tsarf.report import write_failure_times
 
 
 def write_times(path: Path, times, header: str) -> None:
-    lines = [f"# {header}", *(f"{t:.10g}" for t in times)]
-    path.write_text("\n".join(lines) + "\n")
+    write_failure_times(path, [header], times)
     print(f"wrote {len(times):4d} failure times to {path}")
 
 

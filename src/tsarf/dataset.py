@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -67,22 +67,6 @@ class SplitCurve:
     policy: str
 
 
-def _parse_prefix(texts: list[str]) -> np.ndarray:
-    """Parse every text as a float, or only the texts before the first one
-    ``float`` rejects."""
-    try:
-        return np.fromiter(map(float, texts), float, len(texts))
-    except ValueError:
-        n = 0
-        for text in texts:
-            try:
-                float(text)
-            except ValueError:
-                break
-            n += 1
-        return np.fromiter(map(float, texts[:n]), float, n)
-
-
 def load_failure_times(source: TextIO | Iterable[str]) -> tuple[GrowthCurve, bool]:
     """Parse newline-delimited failure times into a growth curve.
 
@@ -97,7 +81,7 @@ def load_failure_times(source: TextIO | Iterable[str]) -> tuple[GrowthCurve, boo
     source = iter(source)
     while lines := list(islice(source, _BLOCK_LINES)):
         # leading comment and blank lines, such as a file's header, would
-        # otherwise send the whole block down the strip path below
+        # otherwise send the whole block down the line-by-line path below
         skip = 0
         while skip < len(lines) and lines[skip].lstrip()[:1] in ("", "#"):
             skip += 1
@@ -109,11 +93,17 @@ def load_failure_times(source: TextIO | Iterable[str]) -> tuple[GrowthCurve, boo
             arr = np.fromiter(map(float, lines), float, len(lines))
             texts, linenos = lines, np.arange(1, len(lines) + 1)
         except ValueError:
-            lines = [raw.strip() for raw in lines]
-            is_data = [line != "" and line[0] != "#" for line in lines]
-            texts = list(compress(lines, is_data))
-            linenos = np.flatnonzero(is_data) + 1
-            arr = _parse_prefix(texts)
+            texts, linenos, values = [], [], []
+            for lineno, raw in enumerate(lines, start=1):
+                if not (text := raw.strip()) or text[0] == "#":
+                    continue
+                texts.append(text)
+                linenos.append(lineno)
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    break
+            arr, linenos = np.array(values, float), np.array(linenos)
         linenos += lines_before
         lines_before += len(lines)
         # Parsing stops at the first non-numeric text, so a bad parsed value

@@ -332,6 +332,9 @@ def test_test_len_with_test_fraction_exits_1(tmp_path, line_file, capsys, comman
     ("window", "0,1,2,3", "window size must be >= 3, got 0"),
     ("window", "10,4,2", "window size must be >= 3, got 2"),
     ("ma", "0..3", "moving-average length must be >= 1, got 0"),
+    ("window", "3..x", "cannot parse value range '3..x'; use 'a..b' or 'a,b,c'"),
+    ("ma", "5..4", "value range is empty"),
+    ("window", ",", "value range is empty"),
 ])
 def test_sweep_value_below_minimum_exits_1(tmp_path, line_file, capsys, param, values, message):
     out = tmp_path / "sweep.csv"
@@ -374,6 +377,19 @@ def test_compare_unknown_model_exits_1(line_file, capsys):
         assert main(["compare", str(line_file), *extra]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(("option", "message"), [
+    (["--window-size", "x"], "window size must be an integer or 'auto', got 'x'"),
+    (["--ma", "1.5"], "moving-average length must be an integer or 'auto', got '1.5'"),
+    (["--models", ","], "at least one model must be requested"),
+])
+def test_compare_unparsable_option_exits_1(tmp_path, line_file, capsys, option, message):
+    report, curves = tmp_path / "report.json", tmp_path / "curves.csv"
+    rc = main(["compare", str(line_file), *option, "--output", str(report), "--curves", str(curves)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
+    assert not report.exists() and not curves.exists()
 
 
 def test_compare_reads_csv_curves(tmp_path, capsys):

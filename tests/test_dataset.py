@@ -111,6 +111,23 @@ def test_round_trip_counts_are_one_to_n(values):
     assert np.array_equal(curve.counts, np.arange(1, len(values) + 1))
 
 
+@pytest.mark.parametrize(
+    ("times", "counts", "message"),
+    [
+        (np.ones((2, 2)), np.ones((2, 2)), "growth curve arrays must be one-dimensional"),
+        ([1.0, 2.0], [1.0], "times and counts differ in length"),
+        ([], [], "growth curve is empty"),
+        ([1.0, np.nan], [1.0, 2.0], "growth curve contains non-finite values"),
+        ([1.0, 2.0], [1.0, np.inf], "growth curve contains non-finite values"),
+        ([2.0, 1.0], [1.0, 2.0], "growth curve times must be nondecreasing"),
+    ],
+)
+def test_growth_curve_rejects_malformed_arrays(times, counts, message):
+    with pytest.raises(DataError) as info:
+        GrowthCurve(times, counts)
+    assert str(info.value) == message
+
+
 def test_split_definition(line_curve):
     parts = split(line_curve(20), 2)
     assert parts.train.n == 18
@@ -285,6 +302,8 @@ def test_read_curve_file_missing(tmp_path):
         ("# c\n-2.0\ninf\n", "line 2: negative failure time -2.0"),
         ("1.0\n\ninf\nbogus\n", "line 3: non-finite failure time 'inf'"),
         ("1.0\nbogus\n-inf\n", "line 2: non-numeric failure time 'bogus'"),
+        ("1.0\n# c\n\n-2.0\nbogus\n", "line 4: negative failure time -2.0"),
+        ("# c\n1.0\n\n  bogus  \n", "line 4: non-numeric failure time 'bogus'"),
     ],
 )
 def test_load_reports_first_bad_line_in_file_order(text, message):

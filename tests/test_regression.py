@@ -124,6 +124,13 @@ def test_design_without_two_columns_is_usage_error(columns):
         ols_fit(X, np.arange(8.0))
 
 
+@pytest.mark.parametrize("x", [3.0, np.ones((2, 3, 4))])
+def test_design_matrix_rejects_other_dimensions(x):
+    with pytest.raises(UsageError) as info:
+        design_matrix(x)
+    assert str(info.value) == "predictor values must be one- or two-dimensional"
+
+
 def test_singularity_rule_ignores_time_scale():
     t = 1e-8 * np.arange(1.0, 6.0)
     beta = ols_fit(design_matrix(t), 1e8 * t)
