@@ -135,8 +135,8 @@ def _run_models(
                 entry["tsarf"] = tsarf_entry(model)
             else:
                 fit = fit_srgm(parts.train, SrgmKind.from_label(name))
-                pred_test = srgm_predict(fit, parts.test.times)
                 predictions[name] = srgm_predict(fit, curve.times)
+                pred_test = predictions[name][parts.train.n :]
                 entry["srgm"] = srgm_entry(fit)
         except ConvergenceError as exc:
             entry["status"] = "convergence_error"

@@ -248,5 +248,5 @@ def auto_split_len(n: int) -> int:
     and the map's slope is -1/10, so iterating it reaches that point or cycle.
     """
     if n < 2:
-        raise DataError(f"curve with {n} points cannot be split")
+        raise DataError(f"curve with {n} point{'' if n == 1 else 's'} cannot be split")
     return min(max(3, n // 11), n - 1)

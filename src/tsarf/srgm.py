@@ -10,10 +10,10 @@ squared-error comparison metrics. The multi-start search runs one
 Nelder-Mead, written in numpy, that advances all restarts together one step
 at a time. The update is that of
 ``scipy.optimize.minimize(method="Nelder-Mead")`` with the same simplex,
-coefficients, tolerances and limits, so each restart follows the path the
-scalar solver would take, bit for bit. At about a hundred points a fit
-costs numpy call overhead more than arithmetic, so a step scores the live
-restarts in at most three in-place batches of ``_sse``.
+coefficients, tolerances and limits, so each restart follows the scalar
+solver's path bit for bit but keeps tied vertices in order. A fit costs
+numpy call overhead more than arithmetic at about a hundred points, so a
+step scores the live restarts in at most three in-place batches of ``_sse``.
 """
 
 from __future__ import annotations
@@ -150,9 +150,9 @@ def _starting_points(kind: SrgmKind, counts: np.ndarray, t: np.ndarray) -> np.nd
 
 
 def _sorted(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each restart's simplex with its vertices in increasing objective order."""
+    """Each restart's simplex, its vertices stably sorted by objective value."""
     n_vertices = fsim.shape[1]
-    flat = np.argsort(fsim, axis=1) + np.arange(0, fsim.size, n_vertices)[:, None]
+    flat = np.argsort(fsim, axis=1, kind="stable") + np.arange(0, fsim.size, n_vertices)[:, None]
     return sim.reshape(fsim.size, -1).take(flat, axis=0), fsim.take(flat)
 
 
@@ -160,18 +160,18 @@ def _nelder_mead(objective, x0: np.ndarray):
     """Minimize from every row of x0 (R, N) at once; objective maps (M, N)
     points to M values.
 
-    Each restart takes exactly the steps of scipy's Nelder-Mead with
-    xatol=X_ATOL, fatol=SSE_RTOL * max(1, f(x0)), maxiter=MAX_ITER and
-    maxfev=2 * MAX_ITER. Returns per restart the best vertex, its value and
-    the iteration count when the tolerance test passed within those limits;
-    the value is inf for a restart that hit a limit instead.
+    Each restart takes the steps of scipy's Nelder-Mead with xatol=X_ATOL,
+    fatol=SSE_RTOL * max(1, f(x0)), maxiter=MAX_ITER and maxfev=2 * MAX_ITER,
+    except that tied vertices keep their order. Returns per restart the best
+    vertex, its value and the iteration count when the tolerance test passed
+    within those limits; the value is inf for a restart that hit a limit
+    instead.
 
     A step costs about 50 numpy calls for all live restarts together, plus
     the objective calls. The caller holds ``np.errstate(over="ignore",
     invalid="ignore")``: the objective and the spread tests meet inf. The
-    vertex order comes from ``np.argsort``, as in scipy: the order of tied
-    values depends on numpy's sort, so another sort could send a restart
-    down another path.
+    sort is stable, so the path does not depend on the CPU, whereas scipy's
+    ``np.argsort`` orders ties by numpy's SIMD sort kernel.
     """
     n_starts, dim = x0.shape
     sim = np.repeat(x0[:, None, :], dim + 1, axis=1)
@@ -179,8 +179,8 @@ def _nelder_mead(objective, x0: np.ndarray):
         sim[:, k + 1, k] = np.where(x0[:, k] != 0, (1 + 0.05) * x0[:, k], 0.00025)
     fsim = objective(sim.reshape(-1, dim)).reshape(n_starts, dim + 1)
     fatol = SSE_RTOL * np.maximum(1.0, fsim[:, 0])
-    # scipy sorts the first simplex twice; an unstable sort may reorder ties
-    sim, fsim = _sorted(*_sorted(sim, fsim))
+    # scipy sorts the first simplex twice; a second stable sort changes nothing
+    sim, fsim = _sorted(sim, fsim)
     # Scipy's second point of a step (rho=1, chi=2, psi=0.5) is
     # c1*xbar - c2*worst, with (c1, c2) in the row expand + 2*contract +
     # inside: reflection accepted (no second point), expansion, outside and
@@ -272,7 +272,7 @@ def fit_srgm(train: GrowthCurve, kind: SrgmKind) -> SrgmFit:
 
 def srgm_predict(fit: SrgmFit, times) -> np.ndarray:
     """Mean value function of a fit at the requested times."""
-    return mvf(fit.kind, fit.params, np.asarray(times, dtype=float))
+    return mvf(fit.kind, fit.params, times)
 
 
 #: Taylor coefficients 1/n! of e^x - 1 - x, n = 18 down to 2: for 0 <= x <= 1

@@ -258,6 +258,17 @@ def test_compare_undecodable_file_is_one_line_data_error(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("data error: "), lines
 
 
+def test_compare_single_point_is_one_line_data_error(tmp_path, capsys):
+    # GrowthCurve rejects an empty curve, so one point is the only unsplittable count
+    path = tmp_path / "one.txt"
+    path.write_text("# one failure\n5.0\n")
+    report, curves = tmp_path / "report.json", tmp_path / "curves.csv"
+    rc = main(["compare", str(path), "--output", str(report), "--curves", str(curves)])
+    assert rc == 2
+    assert capsys.readouterr().err.splitlines() == ["data error: curve with 1 point cannot be split"]
+    assert not report.exists() and not curves.exists()
+
+
 def test_simulate_warns_when_count_leaves_poisson_band(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("tsarf.cli.simulate_nhpp", lambda *args: np.arange(1.0, 4.0))
     rc = main(

@@ -285,6 +285,24 @@ def test_lockstep_matches_scipy_when_some_restarts_hit_the_evaluation_cap(monkey
     assert spent <= sum(scored) <= spent + (kind.param_count + 1) * capped
 
 
+@pytest.mark.parametrize("n_vertices", [3, 4])
+@pytest.mark.parametrize("values", [[1.0, 2.0], [np.inf, 7.0]])
+def test_sorted_keeps_tied_vertices_in_order(n_vertices, values):
+    # numpy's default argsort orders ties by its SIMD sort kernel, which
+    # differs between CPUs; the vertex order must not
+    rng = np.random.default_rng(5)
+    fsim = rng.choice(values, size=(500, n_vertices))
+    # vertex j of restart r is the point (r, j, ...)
+    sim = np.zeros((500, n_vertices, n_vertices - 1))
+    sim[:, :, 0] = np.arange(500)[:, None]
+    sim[:, :, 1] = np.arange(n_vertices)
+    sorted_sim, sorted_f = srgm._sorted(sim, fsim)
+    for r in range(500):
+        order = sorted(range(n_vertices), key=lambda j: fsim[r, j])  # Python's sort is stable
+        assert sorted_sim[r].tolist() == sim[r, order].tolist()
+        assert sorted_f[r].tolist() == fsim[r, order].tolist()
+
+
 def test_every_restart_capped_raises(monkeypatch):
     monkeypatch.setattr(srgm, "MAX_ITER", 2)
     with pytest.raises(ConvergenceError, match="none of the 9 restarts converged"):
