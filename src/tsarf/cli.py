@@ -89,12 +89,20 @@ def _parse_values(raw: str, what: str, minimum: int) -> range | list[int]:
     return values
 
 
-def _resolve_output(path: str | Path) -> Path:
+def _write(path: str | Path, write) -> Path:
+    """Resolve an output path, create its directory and pass it to ``write``.
+
+    An output that cannot be created or written is a usage error.
+    """
     path = Path(path)
     outdir = os.environ.get("TSARF_OUTDIR")
     if outdir and not path.is_absolute():
         path = Path(outdir) / path
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write(path)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from None
     return path
 
 
@@ -155,13 +163,14 @@ def _run_and_report(args, models: list[str]) -> tuple[GrowthCurve, SplitCurve, l
     d = _parse_auto_int(args.ma, "moving-average length", 1)
 
     entries, predictions = _run_models(curve, parts, models, k, d)
-    write_report(run_report(meta, parts, entries), _resolve_output(args.output))
+    report = run_report(meta, parts, entries)
+    _write(args.output, lambda path: write_report(report, path))
     return curve, parts, entries, predictions
 
 
 def cmd_compare(args) -> int:
     curve, parts, entries, predictions = _run_and_report(args, args.models)
-    write_curves_csv(_resolve_output(args.curves), curve.times, curve.counts, predictions, parts.train.n)
+    _write(args.curves, lambda path: write_curves_csv(path, curve.times, curve.counts, predictions, parts.train.n))
     print(render_metrics_table(entries))
     failed = [entry for entry in entries if entry["status"] != "ok"]
     for entry in failed:
@@ -205,7 +214,7 @@ def cmd_sweep(args) -> int:
         rows.append(row)
 
     label = "size" if args.param == "window" else "length"
-    write_sweep_csv(_resolve_output(args.output), label, names, rows)
+    _write(args.output, lambda path: write_sweep_csv(path, label, names, rows))
     print(render_sweep_table(label, names, rows))
     return 0
 
@@ -214,12 +223,11 @@ def cmd_simulate(args) -> int:
     kind = SrgmKind.from_label(args.kind)
     params = SrgmParams(a=args.a, b=args.b, c=args.c)
     times = simulate_nhpp(kind, params, args.horizon, args.seed)
-    path = _resolve_output(args.output)
     header = [
         f"simulated {kind.value} failure times",
         f"a={args.a} b={args.b} c={args.c} horizon={args.horizon} seed={args.seed}",
     ]
-    write_failure_times(path, header, times)
+    path = _write(args.output, lambda path: write_failure_times(path, header, times))
 
     total = mvf(kind, params, args.horizon)
     lo, hi = poisson_band(total)

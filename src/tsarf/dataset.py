@@ -10,6 +10,7 @@ Two on-disk formats are understood:
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
@@ -178,7 +179,8 @@ def read_curve_file(path: str | Path) -> tuple[GrowthCurve, dict]:
     """Load a dataset file in either format, sniffing by header.
 
     Returns the curve plus a provenance dict (path, format, n, sort flag)
-    suitable for embedding in run reports.
+    suitable for embedding in run reports. The recorded path is the path's
+    file-system bytes read as UTF-8, so it does not depend on the locale.
     """
     path = Path(path)
     try:
@@ -194,7 +196,7 @@ def read_curve_file(path: str | Path) -> tuple[GrowthCurve, dict]:
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     meta = {
-        "path": str(path),
+        "path": os.fsencode(path).decode("utf-8", "surrogateescape"),
         "format": fmt,
         "n": curve.n,
         "required_sorting": required_sorting,

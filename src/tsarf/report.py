@@ -3,6 +3,8 @@
 A run report is a plain JSON document with stable keys (documented in the
 README) so runs can be diffed and reloaded. Curve tables are CSV with one
 predicted column per model and a partition flag, ready for any plotting tool.
+Every file is written as UTF-8 whatever the locale, and the surrogate escapes
+that stand for a path's undecodable bytes are written back as those bytes.
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ def run_report(meta: dict, parts: SplitCurve, entries: list[dict]) -> dict:
 
 
 def write_report(report: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    Path(path).write_text(text, encoding="utf-8", errors="surrogateescape")
 
 
 def _render_table(rows: list[tuple[str, ...] | list[str]]) -> str:
@@ -127,7 +130,7 @@ def write_curves_csv(
     on a repeated row template, which leaves the other prediction cells blank.
     """
     models = order_models(list(predictions))
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         handle.write(",".join(["t", "actual", *models, "partition"]) + "\r\n")
         for start in range(0, len(times), _CSV_BLOCK_ROWS):
             columns = [c[start:start + _CSV_BLOCK_ROWS] for c in (times, actual, *(predictions[m] for m in models))]
@@ -137,8 +140,9 @@ def write_curves_csv(
             shown[:, :2] = True  # t and actual print even where not finite
             train = np.arange(start, start + len(cells)) < train_n
             # a run ends where the partition or the finiteness of some cell changes
-            flips = np.flatnonzero(shown[1:] != shown[:-1]) // shown.shape[1]
-            cuts = (np.union1d(flips, np.flatnonzero(train[1:] != train[:-1])) + 1).tolist()
+            ends = train[1:] != train[:-1]
+            ends[np.flatnonzero(shown[1:] != shown[:-1]) // shown.shape[1]] = True
+            cuts = (np.flatnonzero(ends) + 1).tolist()
             for lo, hi in zip([0, *cuts], [*cuts, len(cells)]):
                 # "%.0s" formats a value as nothing, which leaves its cell blank
                 row = ",".join(f if s else "%.0s" for f, s in zip(formats, shown[lo]))
@@ -148,7 +152,7 @@ def write_curves_csv(
 
 def write_failure_times(path: str | Path, header: list[str], times: np.ndarray) -> None:
     """Emit a format-A file: ``# `` header lines, then one ``.10g`` time per line."""
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8", errors="surrogateescape") as handle:
         handle.writelines(f"# {line}\n" for line in header)
         for block in np.split(times, range(_CSV_BLOCK_ROWS, len(times), _CSV_BLOCK_ROWS)):
             handle.write((_cell_format(block) + "\n") * len(block) % tuple(block.tolist()))
@@ -156,7 +160,7 @@ def write_failure_times(path: str | Path, header: list[str], times: np.ndarray) 
 
 def write_sweep_csv(path: str | Path, value_label: str, dataset_names: list[str], rows: list[list[str]]) -> None:
     """Emit the header, then one formatted row per swept value (failed cells read ``error``)."""
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow([value_label, *dataset_names])
         writer.writerows(rows)

@@ -94,11 +94,12 @@ def test_compare_missing_input_exits_2(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-def run_fresh(*args, cwd):
-    """Run a fresh interpreter that imports tsarf from this checkout."""
+def run_fresh(*args, cwd, env=None):
+    """Run a fresh interpreter that imports tsarf from this checkout, with
+    ``env`` added to the environment."""
     src = str(Path(tsarf.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": path}
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
 
 
@@ -125,26 +126,52 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     assert result.stdout.strip() == "False"
 
 
-def test_simulate_leaves_scipy_stats_and_optimize_unloaded(tmp_path):
-    code = (
-        "import sys; from tsarf.cli import main; "
-        "rc = main(['simulate', '--kind', 'go', '--a', '50', '--b', '0.1', '--horizon', '30', "
-        "'--output', 'sim.txt']); print(rc, 'scipy.stats' in sys.modules, 'scipy.optimize' in sys.modules)"
-    )
-    result = run_fresh("-c", code, cwd=tmp_path)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "0 False False"
+# Runs one command through tsarf.cli.main after importing it, then prints the
+# exit code, every loaded scipy module, and the numpy.ma modules the command
+# added: a numpy that imports numpy.ma eagerly loads it at import time.
+_MODULE_SET_SCRIPT = """
+import json, sys
+import tsarf.cli
+imported = set(sys.modules)
+argv = json.loads(sys.argv[1])
+rc = tsarf.cli.main(argv)
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+ma = sorted(m for m in set(sys.modules) - imported if m.split(".")[:2] == ["numpy", "ma"])
+print(json.dumps([rc, scipy, ma]))
+"""
 
 
-def test_compare_tsarf_loads_no_scipy_module(tmp_path, line_file):
-    code = (
-        "import sys, tsarf.cli; "
-        f"rc = tsarf.cli.main(['compare', {str(line_file)!r}, '--models', 'tsarf']); "
-        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
-    result = run_fresh("-c", code, cwd=tmp_path)
+@pytest.mark.parametrize("argv", [
+    ["compare", "{go}"],
+    ["compare", "{go}", "--models", "tsarf"],
+    ["fit", "{go}", "--model", "go"],
+    ["sweep", "{go}", "--param", "window", "--values", "3,4"],
+    ["simulate", "--kind", "go", "--a", "50", "--b", "0.1", "--horizon", "30", "--output", "sim.txt"],
+], ids=["compare", "compare-tsarf", "fit", "sweep", "simulate"])
+def test_cli_loads_no_scipy_or_numpy_ma_module(tmp_path, go_file, argv):
+    argv = [arg.format(go=go_file) for arg in argv]
+    result = run_fresh("-c", _MODULE_SET_SCRIPT, json.dumps(argv), cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "0 []"
+    assert json.loads(result.stdout.splitlines()[-1]) == [0, [], []]
+
+
+def test_outputs_do_not_depend_on_the_locale(tmp_path, go_file):
+    # under the C locale argv's non-ASCII bytes arrive as surrogate escapes
+    data = tmp_path / "cafè.txt"
+    data.write_bytes(go_file.read_bytes())
+    outputs = {}
+    for name, env in [("c", {"LC_ALL": "C", "PYTHONUTF8": "0"}), ("utf8", {"PYTHONUTF8": "1"})]:
+        out = tmp_path / name
+        out.mkdir()
+        for args in (["sweep", data.name, "--param", "window", "--values", "3,4", "--output", f"{name}/sweep.csv"],
+                     ["compare", data.name, "--output", f"{name}/report.json", "--curves", f"{name}/curves.csv"]):
+            result = run_fresh("-m", "tsarf", *args, cwd=tmp_path, env=env)
+            assert result.returncode == 0, result.stderr
+        outputs[name] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert list(outputs["c"]) == ["curves.csv", "report.json", "sweep.csv"]
+    assert outputs["c"] == outputs["utf8"]
+    assert json.loads(outputs["c"]["report.json"])["dataset"]["path"] == "cafè.txt"
+    assert outputs["c"]["sweep.csv"].startswith("size,cafè\r\n".encode())
 
 
 def test_compare_exact_line_at_tiny_time_scale(tmp_path, capsys):
@@ -401,6 +428,23 @@ def test_compare_unparsable_option_exits_1(tmp_path, line_file, capsys, option, 
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [f"usage error: {message}"]
     assert not report.exists() and not curves.exists()
+
+
+@pytest.mark.parametrize(("argv", "target"), [
+    (["compare", "{go}", "--output", "{dir}"], "{dir}"),
+    (["compare", "{go}", "--curves", "{dir}"], "{dir}"),
+    (["compare", "{go}", "--output", "{file}/r.json"], "{file}/r.json"),
+    (["fit", "{go}", "--model", "go", "--output", "{dir}"], "{dir}"),
+    (["sweep", "{go}", "--param", "window", "--values", "3", "--output", "{dir}"], "{dir}"),
+    (["simulate", "--kind", "go", "--a", "5", "--b", "1", "--horizon", "3", "--output", "{dir}"], "{dir}"),
+], ids=["compare-output-dir", "compare-curves-dir", "compare-output-under-file", "fit", "sweep", "simulate"])
+def test_unwritable_output_is_one_line_usage_error(tmp_path, go_file, capsys, argv, target):
+    (tmp_path / "file").write_text("")
+    paths = {"go": go_file, "dir": tmp_path, "file": tmp_path / "file"}
+    rc = main([arg.format(**paths) for arg in argv])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"usage error: cannot write {target.format(**paths)}: "), lines
 
 
 def test_compare_reads_csv_curves(tmp_path, capsys):
