@@ -44,6 +44,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _print_err(text: str) -> None:
+    """Print one line to stderr as UTF-8, whatever the locale.
+
+    A path's undecodable bytes, which arrive as surrogate escapes, go out as
+    those bytes, where a C-locale stderr would print them as escapes.
+    """
+    buffer = getattr(sys.stderr, "buffer", None)
+    if buffer is None:  # a text-only stream, such as io.StringIO
+        print(text, file=sys.stderr)
+        return
+    sys.stderr.flush()
+    buffer.write((text + "\n").encode("utf-8", "surrogateescape"))
+    buffer.flush()
+
+
 def _at_least(value: int, what: str, minimum: int) -> int:
     if value < minimum:
         raise UsageError(f"{what} must be >= {minimum}, got {value}")
@@ -102,7 +117,7 @@ def _write(path: str | Path, write) -> Path:
         path.parent.mkdir(parents=True, exist_ok=True)
         write(path)
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from None
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
     return path
 
 
@@ -110,7 +125,7 @@ def _read(path: str) -> tuple[GrowthCurve, dict]:
     """``read_curve_file``, with a warning when the failure times had to be sorted."""
     curve, meta = read_curve_file(path)
     if meta["required_sorting"]:
-        print(f"warning: failure times were not sorted; sorting {meta['n']} entries", file=sys.stderr)
+        _print_err(f"warning: failure times were not sorted; sorting {meta['n']} entries")
     return curve, meta
 
 
@@ -118,7 +133,7 @@ def _forecast(train: GrowthCurve, k: int | None, d: int | None) -> TsarfModel:
     """``tsarf_forecast``, with a warning when too few windows fix d at 1."""
     model = tsarf_forecast(train, k, d)
     if model.d_fallback:
-        print(f"warning: only {model.history.W} windows: falling back to moving-average length 1", file=sys.stderr)
+        _print_err(f"warning: only {model.history.W} windows: falling back to moving-average length 1")
     return model
 
 
@@ -174,7 +189,7 @@ def cmd_compare(args) -> int:
     print(render_metrics_table(entries))
     failed = [entry for entry in entries if entry["status"] != "ok"]
     for entry in failed:
-        print(f"warning: {entry['model']} failed: {entry['error']}", file=sys.stderr)
+        _print_err(f"warning: {entry['model']} failed: {entry['error']}")
     return 3 if failed else 0
 
 
@@ -210,7 +225,7 @@ def cmd_sweep(args) -> int:
                 row.append("n/a" if metrics["pmse"] is None else f"{metrics['pmse']:.6g}")
             except TsarfError as exc:
                 row.append("error")
-                print(f"warning: {args.param}={value} on {name}: {exc}", file=sys.stderr)
+                _print_err(f"warning: {args.param}={value} on {name}: {exc}")
         rows.append(row)
 
     label = "size" if args.param == "window" else "length"
@@ -234,10 +249,9 @@ def cmd_simulate(args) -> int:
     count = len(times)
     print(f"wrote {count} failure times to {path}")
     if not lo <= count <= hi:
-        print(
+        _print_err(
             f"warning: realized count {count} falls outside the 99.9% Poisson band "
-            f"[{lo}, {hi}] around {total:.2f}",
-            file=sys.stderr,
+            f"[{lo}, {hi}] around {total:.2f}"
         )
     return 0
 
@@ -248,7 +262,7 @@ def cmd_fit(args) -> int:
     _, _, entries, _ = _run_and_report(args, args.model)
     entry = entries[0]
     if entry["status"] != "ok":
-        print(f"convergence error: {entry['error']}", file=sys.stderr)
+        _print_err(f"convergence error: {entry['error']}")
         return 3
     if "tsarf" in entry:
         info = entry["tsarf"]
@@ -327,13 +341,13 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _print_err(f"usage error: {exc}")
         return 1
     except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        _print_err(f"data error: {exc}")
         return 2
     except ConvergenceError as exc:
-        print(f"convergence error: {exc}", file=sys.stderr)
+        _print_err(f"convergence error: {exc}")
         return 3
 
 

@@ -194,7 +194,8 @@ def read_curve_file(path: str | Path) -> tuple[GrowthCurve, dict]:
             else:
                 (curve, required_sorting), fmt = load_failure_times(handle), "times"
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
+        # strerror, as str(exc) repeats the path as a repr, which escapes undecodable bytes
+        raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
     meta = {
         "path": os.fsencode(path).decode("utf-8", "surrogateescape"),
         "format": fmt,

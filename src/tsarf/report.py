@@ -10,6 +10,7 @@ that stand for a path's undecodable bytes are written back as those bytes.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from pathlib import Path
@@ -94,25 +95,170 @@ def render_metrics_table(entries: list[dict]) -> str:
     return _render_table(rows)
 
 
-#: Rows formatted at a time, which bounds memory: a 10^5-row curve with one
-#: model peaks at 1.5 MiB under tracemalloc, and at 16.3 MiB as one block.
+#: Rows rendered at a time, which bounds memory: a 10^5-row curve with one
+#: model peaks at 3.2 MiB under tracemalloc, and at 43 MiB as one block.
 _CSV_BLOCK_ROWS = 8192
 
+#: The decimal exponents e the kernel renders: there |x| is scaled to ten
+#: integer digits by 10^(9 - e) with |9 - e| <= 22, an exact power of ten.
+_E_MIN, _E_MAX = -13, 31
+#: A scaled value this close to a rounding tie goes to ``%``: the scaling
+#: rounds once, so it lies within 2^-20 of the exact product.
+_TIE_MARGIN = 0.5 - 2.0**-17
+#: Words of NUL-padded text per cell. Bytes 0-7: a separator, the sign and up
+#: to five lead characters ("0.000"); bytes 8-27: ten digits, each followed by
+#: a byte for the decimal point; bytes 28-31: the exponent ("e+12"); bytes
+#: 32-39: the row's end, in its last cell.
+_CELL_WORDS = 5
 
-def _cell_format(values: np.ndarray) -> str:
-    """The ``%`` conversion that prints each value as ``f"{v:.10g}"`` does.
 
-    ``%.10g`` and the f-string make the same C call. When every value is an
-    integer below 1e10 in magnitude, ``%d`` gives the same text faster; -0.0
-    is left to ``%.10g``, which prints it as ``-0``.
+@functools.cache
+def _g10_tables() -> tuple[np.ndarray, ...]:
+    """The kernel's lookup tables.
+
+    ``mul`` and ``div``, indexed by i = e + 1 - _E_MIN, scale |x| to ten
+    integer digits; both ends are NaN and stand for every e out of range.
+    ``digits[v]`` spells v < 10^4 as four digits two bytes apart, with their
+    count of trailing zeros in the top byte; ``digits2`` does the same for
+    v < 100. ``adds`` holds the cells' words and ``masks`` the masks of digit
+    words 1-3 for key = 10·i + trailing zeros of the ten digits: ``masks``
+    keeps the digits shown, ``adds`` puts in the lead, point and exponent.
     """
-    if (
-        (np.abs(values) < 1e10).all()
-        and (values == np.trunc(values)).all()
-        and not (np.signbit(values) & (values == 0)).any()
-    ):
-        return "%d"
-    return "%.10g"
+    e = np.arange(_E_MIN - 1, _E_MAX + 2)
+    k = 9 - e
+    tens = np.cumprod([1.0] + [10.0] * 22)  # 10^0..10^22, each exact
+    power = tens[np.minimum(np.abs(k), 22)]
+    mul = np.where(k >= 0, power, 1.0)
+    div = np.where(k < 0, power, 1.0)
+    mul[[0, -1]] = np.nan
+
+    # v = 1000·d0 + 100·d1 + 10·d2 + d3 on four broadcast axes
+    d = np.ix_(*[np.arange(10, dtype=np.int64)] * 4)
+    z0, z1, z2, z3 = ((digit == 0).astype(np.int64) for digit in d)
+    trailing = z3 * (1 + z2 * (1 + z1 * (1 + z0)))
+    digits = sum((digit + ord("0")) << 16 * j for j, digit in enumerate(d)) | trailing << 56
+    digits2 = digits[0, 0] >> 32 & 0xFF00FF | np.minimum(trailing[0, 0], 2) << 56
+    digits, digits2 = digits.ravel(), digits2.ravel()
+
+    e = e[:, None]
+    fixed = (-4 <= e) & (e < 10)
+    # the point follows digit `point`, unless every later digit is a trailing zero
+    point = np.where(fixed & (e >= 0), e, 0)
+    last = np.maximum(point, 9 - np.arange(10))  # the last digit shown
+    masks = np.zeros((*last.shape, 8 * _CELL_WORDS), np.uint8)
+    masks[..., 8:28:2] = np.where(np.arange(10) <= last[..., None], 0xFF, 0)
+    adds = np.zeros_like(masks)
+    dot = (last > point) & ~(fixed & (e < 0))
+    adds[..., 9:29:2] = np.where((np.arange(10) == point[..., None]) & dot[..., None], ord("."), 0)
+    # "0." and then -e - 1 zeros before the digits of 1e-4 <= |x| < 1
+    lead = np.where(np.arange(5) < np.where(fixed & (e < 0), 1 - e, 0), ord("0"), 0)
+    lead[:, 1] = np.where(lead[:, 1], ord("."), 0)
+    adds[..., 2:7] = lead[:, None]
+    exponent = np.stack([np.full_like(e, ord("e")), np.where(e < 0, ord("-"), ord("+")),
+                         abs(e) // 10 + ord("0"), abs(e) % 10 + ord("0")], axis=-1)
+    adds[..., 28:32] = np.where(fixed[..., None], 0, exponent)
+    masks, adds = (a.view("<i8").reshape(-1, _CELL_WORDS) for a in (masks, adds))
+    tables = mul, div, digits, digits2, *(masks[:, j].copy() for j in (1, 2, 3)), adds
+    for table in tables:
+        table.flags.writeable = False  # every call shares them
+    return tables
+
+
+class _TextBlock:
+    """A reusable block of up to ``rows`` × ``columns`` ``.10g`` cells.
+
+    ``values`` takes the numbers; ``render`` writes the ``f"{x:.10g}"`` text
+    of each into ``cells`` as ``_CELL_WORDS`` words of NUL-padded text, the
+    caller adds separators and row ends, and ``text`` drops the NULs. Scratch
+    arrays live as long as the block, so rendering many blocks touches no new
+    memory.
+    """
+
+    def __init__(self, rows: int, columns: int) -> None:
+        self.values = np.empty((rows, columns))
+        # a bytearray, so that ``text`` translates it without a copy
+        self._buffer = bytearray(8 * _CELL_WORDS * rows * columns)
+        self.words = np.frombuffer(self._buffer, "<i8").reshape(rows, _CELL_WORDS * columns)
+        self.cells = self.words.reshape(rows, columns, _CELL_WORDS)
+        #: the byte of each cell's separator
+        self.separators = self.words.view(np.uint8)[:, :: 8 * _CELL_WORDS]
+        self._float = np.empty((3, rows, columns))
+        self._int = np.empty((3, rows, columns), np.int64)
+        self._bool = np.empty((2, rows, columns), bool)
+
+    def render(self, n: int) -> None:
+        """Render ``values[:n]`` into ``cells[:n]``, and blank the rows after.
+
+        Each value is scaled by the exact power of ten that its exponent guess
+        ``floor(log10|x|)`` calls for, and rounded to ten digits. A value goes
+        to ``%`` unless the scaled m satisfies 1e9 <= m, rint(m) < 1e10 and
+        |m − rint(m)| < _TIE_MARGIN, with the guess in range: then rint(m) is
+        the correctly rounded digits whatever the guess was, and zero, inf and
+        NaN never pass.
+        """
+        mul, div, digits, digits2, *masks, adds = _g10_tables()
+        x, cells = self.values[:n], self.cells[:n]
+        a, m, r = self._float[:, :n]
+        i, whole, temp = self._int[:, :n]
+        ok, b = self._bool[:, :n]
+        np.abs(x, out=a)
+        with np.errstate(all="ignore"):
+            np.log10(a, out=m)
+            np.floor(m, out=m)
+            np.fmax(m, _E_MIN - 1, out=m)  # NaN too
+            np.fmin(m, _E_MAX + 1, out=m)
+            m -= _E_MIN - 1
+            i[...] = m
+            np.take(mul, i, out=m, mode="clip")
+            m *= a
+            m /= np.take(div, i, out=a, mode="clip")
+            np.rint(m, out=r)
+            np.less(np.abs(np.subtract(m, r, out=a), out=a), _TIE_MARGIN, out=ok)
+            ok &= np.greater_equal(m, 1e9, out=b)
+            ok &= np.less(r, 1e10, out=b)
+            # the rows that fail hold garbage from here on; mode="clip" keeps
+            # their indices in bounds until they are rewritten below
+            whole[...] = r
+        # the ten digits as 4 + 4 + 2, in the float scratch, which is spent now
+        g0, g1, g2 = self._float[:, :n].view(np.int64)
+        np.floor_divide(whole, 100, out=g1)
+        np.subtract(whole, np.multiply(g1, 100, out=g2), out=g2)
+        np.floor_divide(g1, 10_000, out=g0)
+        g1 -= np.multiply(g0, 10_000, out=temp)
+        # the groups' digit words, each written over an array that is spent
+        u = g1, g2, whole
+        np.take(digits2, g2, out=u[2], mode="clip")
+        np.take(digits, g1, out=u[1], mode="clip")
+        np.take(digits, g0, out=u[0], mode="clip")
+        # trailing zeros: of the last group, then of the others while a group is all zeros
+        tz = g0
+        np.right_shift(u[0], 56, out=tz)
+        np.copyto(tz, 0, where=np.not_equal(np.right_shift(u[1], 56, out=temp), 4, out=b))
+        tz += temp
+        np.copyto(tz, 0, where=np.not_equal(np.right_shift(u[2], 56, out=temp), 2, out=b))
+        tz += temp
+        key = np.multiply(i, 10, out=i)
+        key += tz
+        np.take(adds, key, axis=0, out=cells, mode="clip")
+        for word, digit, mask in zip((1, 2, 3), u, masks):
+            digit &= np.take(mask, key, out=temp, mode="clip")
+            cells[..., word] |= digit
+        signs = self.words.view(np.uint8)[:n, 1 :: 8 * _CELL_WORDS]
+        np.copyto(signs, ord("-"), where=np.signbit(x, out=b))
+        rows, cols = np.nonzero(~ok)
+        if rows.size:
+            text = b"".join(b"\0" + (b"%.10g" % v).ljust(39, b"\0") for v in x[rows, cols].tolist())
+            cells[rows, cols] = np.frombuffer(text, "<i8").reshape(-1, _CELL_WORDS)
+        self.words[n:] = 0
+
+    def text(self) -> bytearray:
+        """The rendered rows with their NULs dropped."""
+        return self._buffer.translate(None, b"\0")
+
+
+def _word(text: bytes) -> np.int64:
+    """Up to 8 bytes of text as one word."""
+    return np.frombuffer(text.ljust(8, b"\0"), "<i8")[0]
 
 
 def write_curves_csv(
@@ -125,37 +271,40 @@ def write_curves_csv(
     """Emit header ``t,actual,<model>...,partition``; NaN cells are left blank.
 
     Rows end in ``\\r\\n``, as ``csv.writer`` writes them; no cell holds a
-    comma or a quote, so cells are joined without quoting. Each run of rows in
-    one partition whose predictions are finite in the same columns is one ``%``
-    on a repeated row template, which leaves the other prediction cells blank.
+    comma or a quote, so cells are joined without quoting. A prediction that
+    is not finite leaves only its separator; ``t`` and ``actual`` always print.
     """
     models = order_models(list(predictions))
-    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as handle:
-        handle.write(",".join(["t", "actual", *models, "partition"]) + "\r\n")
+    columns = (times, actual, *(predictions[m] for m in models))
+    block = _TextBlock(min(len(times), _CSV_BLOCK_ROWS), len(columns))
+    train, test = _word(b",train\r\n"), _word(b",test\r\n")
+    with open(path, "wb") as handle:
+        header = ",".join(["t", "actual", *models, "partition"]) + "\r\n"
+        handle.write(header.encode("utf-8", "surrogateescape"))
         for start in range(0, len(times), _CSV_BLOCK_ROWS):
-            columns = [c[start:start + _CSV_BLOCK_ROWS] for c in (times, actual, *(predictions[m] for m in models))]
-            formats = [_cell_format(column) for column in columns]
-            cells = np.column_stack(columns)
-            shown = np.isfinite(cells)
-            shown[:, :2] = True  # t and actual print even where not finite
-            train = np.arange(start, start + len(cells)) < train_n
-            # a run ends where the partition or the finiteness of some cell changes
-            ends = train[1:] != train[:-1]
-            ends[np.flatnonzero(shown[1:] != shown[:-1]) // shown.shape[1]] = True
-            cuts = (np.flatnonzero(ends) + 1).tolist()
-            for lo, hi in zip([0, *cuts], [*cuts, len(cells)]):
-                # "%.0s" formats a value as nothing, which leaves its cell blank
-                row = ",".join(f if s else "%.0s" for f, s in zip(formats, shown[lo]))
-                end = ",train\r\n" if train[lo] else ",test\r\n"
-                handle.write((row + end) * (hi - lo) % tuple(cells[lo:hi].ravel().tolist()))
+            n = min(len(times) - start, _CSV_BLOCK_ROWS)
+            for j, column in enumerate(columns):
+                block.values[:n, j] = column[start:start + n]
+            block.render(n)
+            block.cells[:n, 2:][~np.isfinite(block.values[:n, 2:])] = 0
+            block.separators[:n, 1:] = ord(",")
+            split = min(max(train_n - start, 0), n)
+            block.cells[:split, -1, -1] = train
+            block.cells[split:n, -1, -1] = test
+            handle.write(block.text())
 
 
 def write_failure_times(path: str | Path, header: list[str], times: np.ndarray) -> None:
     """Emit a format-A file: ``# `` header lines, then one ``.10g`` time per line."""
-    with open(path, "w", encoding="utf-8", errors="surrogateescape") as handle:
-        handle.writelines(f"# {line}\n" for line in header)
-        for block in np.split(times, range(_CSV_BLOCK_ROWS, len(times), _CSV_BLOCK_ROWS)):
-            handle.write((_cell_format(block) + "\n") * len(block) % tuple(block.tolist()))
+    block = _TextBlock(min(len(times), _CSV_BLOCK_ROWS), 1)
+    with open(path, "wb") as handle:
+        handle.write("".join(f"# {line}\n" for line in header).encode("utf-8", "surrogateescape"))
+        for start in range(0, len(times), _CSV_BLOCK_ROWS):
+            n = min(len(times) - start, _CSV_BLOCK_ROWS)
+            block.values[:n, 0] = times[start:start + n]
+            block.render(n)
+            block.cells[:n, 0, -1] = _word(b"\n")
+            handle.write(block.text())
 
 
 def write_sweep_csv(path: str | Path, value_label: str, dataset_names: list[str], rows: list[list[str]]) -> None:

@@ -19,6 +19,8 @@ import tsarf
 from tsarf import ConvergenceError
 from tsarf.cli import main
 from tsarf.report import (
+    _g10_tables,
+    _TextBlock,
     order_models,
     render_metrics_table,
     render_sweep_table,
@@ -94,13 +96,13 @@ def test_compare_missing_input_exits_2(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-def run_fresh(*args, cwd, env=None):
+def run_fresh(*args, cwd, env=None, text=True):
     """Run a fresh interpreter that imports tsarf from this checkout, with
     ``env`` added to the environment."""
     src = str(Path(tsarf.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, **(env or {}), "PYTHONPATH": path}
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=text)
 
 
 def test_compare_overflowing_times_is_one_line_data_error(tmp_path):
@@ -172,6 +174,20 @@ def test_outputs_do_not_depend_on_the_locale(tmp_path, go_file):
     assert outputs["c"] == outputs["utf8"]
     assert json.loads(outputs["c"]["report.json"])["dataset"]["path"] == "cafè.txt"
     assert outputs["c"]["sweep.csv"].startswith("size,cafè\r\n".encode())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "missing_é.txt"], "data error: cannot read missing_é.txt: No such file or directory"),
+    (["simulate", "--kind", "go", "--a", "5", "--b", "1", "--horizon", "3", "--output", "file_é/sim.txt"],
+     "usage error: cannot write file_é/sim.txt: File exists"),
+], ids=["cannot-read", "cannot-write"])
+def test_error_messages_keep_path_bytes_under_every_locale(tmp_path, argv, message):
+    # under the C locale argv's non-ASCII bytes arrive as surrogate escapes
+    (tmp_path / "file_é").write_text("")
+    for env in ({"LC_ALL": "C", "PYTHONUTF8": "0"}, {"PYTHONUTF8": "1"}):
+        result = run_fresh("-m", "tsarf", *argv, cwd=tmp_path, env=env, text=False)
+        assert result.returncode in (1, 2)
+        assert result.stderr == f"{message}\n".encode()
 
 
 def test_compare_exact_line_at_tiny_time_scale(tmp_path, capsys):
@@ -272,6 +288,23 @@ def test_simulate_and_compare_golden_bytes(tmp_path, capsys):
     assert digests == {
         "sim.txt": "8e3d8df1dcb2aa0080cab77f04ca46648bc3ac2ead9210ea434c8bab94df1291",
         "curves.csv": "8fe4bf65523cc954b32b14722f10f2667e5969617a635d132e2d86acf753e0e9",
+    }
+
+
+def test_multi_block_golden_bytes(tmp_path, capsys):
+    """Four 8 192-row blocks, with blank TSARF cells in the first."""
+    sim, curves = tmp_path / "sim.txt", tmp_path / "curves.csv"
+    assert main(["simulate", "--kind", "go", "--a", "30000", "--b", "0.004", "--horizon", "600",
+                 "--seed", "11", "--output", str(sim)]) == 0
+    assert main(["compare", str(sim), "--models", "tsarf,go", "--output", str(tmp_path / "report.json"),
+                 "--curves", str(curves)]) == 0
+    rows = curves.read_text().splitlines()[1:]
+    assert len(rows) == 27_063 > 3 * 8192
+    assert rows[0].split(",")[2] == "" and rows[-1].split(",")[2] != ""
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in (sim, curves)}
+    assert digests == {
+        "sim.txt": "01fa469a01bade567a2f130dfcf42c0a3e095019a9831bba81a04bbe8db2c004",
+        "curves.csv": "38569afc00ce88e73e1398d0c087120dc0ba849f8f73c888ebe5b555c67922cb",
     }
 
 
@@ -714,6 +747,94 @@ def test_failure_times_match_per_line_bytes(times, block_rows):
         write_failure_times(path, header, np.asarray(times, dtype=float))
         want = "".join(f"# {line}\n" for line in header) + "".join(f"{t:.10g}\n" for t in times)
         assert path.read_bytes() == want.encode()
+
+
+def kernel_texts(values):
+    """The ``.10g`` kernel's text of each value, one block row per value."""
+    values = np.asarray(values, dtype=float)
+    block = _TextBlock(len(values), 1)
+    block.values[:, 0] = values
+    block.render(len(values))
+    return [row.tobytes().translate(None, b"\0").decode() for row in block.words]
+
+
+#: Every float64, from its raw bits: NaN payloads, subnormals and both zeros included.
+float_bits = st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(float_bits, st.floats(width=64)), max_size=40))
+def test_kernel_matches_format(values):
+    assert kernel_texts(values) == [format(v, ".10g") for v in values]
+
+
+#: Values at each edge of the kernel, with their text: ties, carries, a
+#: guess at a power of ten, notation switches, the ends of the exponent range,
+#: and what only ``%`` prints.
+KERNEL_EDGES = [
+    (1234567890.5, "1234567890"),  # exact tie, to even
+    (953784502.45, "953784502.5"),  # near tie: the scaled 9537845024.5 would round to even
+    (9999999999.5, "1e+10"),  # carry into an eleventh digit
+    (9999999999.7, "1e+10"),
+    (float(np.nextafter(1e8, 0)), "100000000"),  # log10 rounds up to 8
+    (1e-5, "1e-05"),
+    (0.0001, "0.0001"),
+    (0.000123456789012, "0.000123456789"),
+    (9999999999.0, "9999999999"),
+    (1e10, "1e+10"),
+    (1.5e-13, "1.5e-13"),  # the least exponent the kernel renders
+    (1e31, "1e+31"),  # the greatest
+    (1e32, "1e+32"),
+    (-2.5e100, "-2.5e+100"),
+    (1.7976931348623157e308, "1.797693135e+308"),
+    (5e-324, "4.940656458e-324"),
+    (0.0, "0"),
+    (-0.0, "-0"),
+    (float("nan"), "nan"),
+    (float("inf"), "inf"),
+    (float("-inf"), "-inf"),
+    (-12.5, "-12.5"),
+    (100.0, "100"),
+    (123456.0, "123456"),
+]
+
+
+def test_kernel_edges():
+    values, texts = zip(*KERNEL_EDGES)
+    assert [format(v, ".10g") for v in values] == list(texts)
+    assert kernel_texts(values) == list(texts)
+
+
+def test_kernel_scales_by_exact_powers_of_ten():
+    mul, div = _g10_tables()[:2]
+    assert np.isnan(mul[[0, -1]]).all()
+    assert set(mul[1:-1]) | set(div) == {float(10**j) for j in range(23)}
+
+
+@pytest.mark.parametrize("error", [-1.0, -1e-6, 1e-6, 1.0])
+def test_kernel_is_exact_whatever_log10_returns(monkeypatch, error):
+    """A log10 off by ``error`` guesses the wrong exponent near (or at) every power of ten."""
+    rng = np.random.default_rng(5)
+    powers = 10.0 ** np.arange(-14, 33)
+    values = np.concatenate([
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), powers * (1 - 4e-10), powers * (1 + 4e-10),
+        rng.uniform(0.5, 2, 200) * 10.0 ** rng.integers(-15, 33, 200), [v for v, _ in KERNEL_EDGES],
+    ])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x, out: np.add(log10(x, out=out), error, out=out))
+    assert kernel_texts(values) == [format(v, ".10g") for v in values.tolist()]
+
+
+def test_kernel_matches_format_in_bulk():
+    rng = np.random.default_rng(2024)
+    values = np.concatenate([
+        rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64),
+        rng.uniform(0, 600, 20_000),
+        rng.standard_normal(20_000) * 10.0 ** rng.integers(-16, 34, 20_000),
+        np.arange(-10_000.0, 10_000.0),
+        np.round(rng.uniform(-1e6, 1e6, 20_000) * (scale := 10.0 ** rng.integers(0, 10, 20_000))) / scale,
+    ])
+    assert kernel_texts(values) == [format(v, ".10g") for v in values.tolist()]
 
 
 def test_sweep_window_rows_and_error_marker(tmp_path, go_file, capsys):
