@@ -10,6 +10,7 @@ Two on-disk formats are understood:
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -92,35 +93,12 @@ def load_failure_times(source: TextIO | Iterable[str]) -> tuple[GrowthCurve, boo
             # float() pads a numeral only with whitespace that str.strip()
             # removes, so a block that parses whole holds data lines only
             arr = np.fromiter(map(float, lines), float, len(lines))
-            texts, linenos = lines, np.arange(1, len(lines) + 1)
         except ValueError:
-            texts, linenos, values = [], [], []
-            for lineno, raw in enumerate(lines, start=1):
-                if not (text := raw.strip()) or text[0] == "#":
-                    continue
-                texts.append(text)
-                linenos.append(lineno)
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    break
-            arr, linenos = np.array(values, float), np.array(linenos)
-        linenos += lines_before
+            arr = None
+        # nan fails both comparisons
+        if arr is None or not np.all((arr >= 0) & (arr < np.inf)):
+            arr = _checked_times(lines, lines_before)
         lines_before += len(lines)
-        # Parsing stops at the first non-numeric text, so a bad parsed value
-        # always comes before it in the file.
-        bad = np.flatnonzero(~np.isfinite(arr) | (arr < 0))
-        if bad.size:
-            i = int(bad[0])
-            problem = (
-                f"negative failure time {float(arr[i])}" if np.isfinite(arr[i])
-                else f"non-finite failure time {texts[i].strip()!r}"
-            )
-            raise DataError(f"line {linenos[i]}: {problem}")
-        if arr.size < len(texts):
-            raise DataError(
-                f"line {linenos[arr.size]}: non-numeric failure time {texts[arr.size]!r}"
-            )
         blocks.append(arr)
     arr = np.concatenate(blocks) if blocks else np.empty(0)
     if not arr.size:
@@ -129,6 +107,24 @@ def load_failure_times(source: TextIO | Iterable[str]) -> tuple[GrowthCurve, boo
     if required_sorting:
         arr = np.sort(arr)
     return GrowthCurve(arr, np.arange(1, arr.size + 1, dtype=float)), required_sorting
+
+
+def _checked_times(lines: list[str], lines_before: int) -> np.ndarray:
+    """Parse a block that follows file line ``lines_before``, raising on its first bad line."""
+    values = []
+    for lineno, raw in enumerate(lines, start=lines_before + 1):
+        if not (text := raw.strip()) or text[0] == "#":
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            raise DataError(f"line {lineno}: non-numeric failure time {text!r}") from None
+        if not math.isfinite(value):
+            raise DataError(f"line {lineno}: non-finite failure time {text!r}")
+        if value < 0:
+            raise DataError(f"line {lineno}: negative failure time {value}")
+        values.append(value)
+    return np.array(values, float)
 
 
 def load_growth_curve_csv(source: TextIO | Iterable[str]) -> GrowthCurve:

@@ -293,6 +293,7 @@ def test_read_curve_file_missing(tmp_path):
         read_curve_file(tmp_path / "nope.txt")
 
 
+@pytest.mark.parametrize("block_lines", [1, 2, 8192])
 @pytest.mark.parametrize(
     ("text", "message"),
     [
@@ -304,12 +305,29 @@ def test_read_curve_file_missing(tmp_path):
         ("1.0\nbogus\n-inf\n", "line 2: non-numeric failure time 'bogus'"),
         ("1.0\n# c\n\n-2.0\nbogus\n", "line 4: negative failure time -2.0"),
         ("# c\n1.0\n\n  bogus  \n", "line 4: non-numeric failure time 'bogus'"),
+        ("1.0\n2.0\n1e400\n", "line 3: non-finite failure time '1e400'"),
+        ("1.0\n2.0\n-3.0\n", "line 3: negative failure time -3.0"),
     ],
 )
-def test_load_reports_first_bad_line_in_file_order(text, message):
-    with pytest.raises(DataError) as info:
+def test_load_reports_first_bad_line_in_file_order(text, message, block_lines):
+    with mock.patch.object(dataset, "_BLOCK_LINES", block_lines), pytest.raises(DataError) as info:
         load_failure_times(io.StringIO(text))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("header_lines", [1, 3, 6])
+def test_load_header_then_valid_times_stays_on_the_block_path(monkeypatch, header_lines):
+    """A file shaped like ``simulate``'s output never takes the line-by-line path."""
+    calls = []
+    checked = dataset._checked_times
+    monkeypatch.setattr(dataset, "_checked_times", lambda *args: calls.append(args) or checked(*args))
+    monkeypatch.setattr(dataset, "_BLOCK_LINES", 4)
+    times = [0.5 * i for i in range(1, 12)]
+    text = "".join(f"# header {i}\n" for i in range(header_lines)) + "".join(f"{t}\n" for t in times)
+    curve, required_sorting = load_failure_times(io.StringIO(text))
+    assert curve.times.tolist() == times
+    assert not required_sorting
+    assert calls == []
 
 
 @pytest.mark.parametrize(
