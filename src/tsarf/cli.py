@@ -339,7 +339,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # every output file is written by now; fd 1 on devnull quiets the exit flush
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        _print_err("usage error: standard output was closed")
+        return 1
     except UsageError as exc:
         _print_err(f"usage error: {exc}")
         return 1

@@ -99,16 +99,16 @@ def render_metrics_table(entries: list[dict]) -> str:
 #: model peaks at 3.2 MiB under tracemalloc, and at 43 MiB as one block.
 _CSV_BLOCK_ROWS = 8192
 
-#: The decimal exponents e the kernel renders: there |x| is scaled to ten
-#: integer digits by 10^(9 - e) with |9 - e| <= 22, an exact power of ten.
-_E_MIN, _E_MAX = -13, 31
+#: The decimal exponents e the kernel renders, those that ``.10g`` prints
+#: without an exponent: there |x| is scaled to ten digits by an exact 10^(9 - e).
+_E_MIN, _E_MAX = -4, 9
 #: A scaled value this close to a rounding tie goes to ``%``: the scaling
 #: rounds once, so it lies within 2^-20 of the exact product.
 _TIE_MARGIN = 0.5 - 2.0**-17
 #: Words of NUL-padded text per cell. Bytes 0-7: a separator, the sign and up
 #: to five lead characters ("0.000"); bytes 8-27: ten digits, each followed by
-#: a byte for the decimal point; bytes 28-31: the exponent ("e+12"); bytes
-#: 32-39: the row's end, in its last cell.
+#: a byte for the decimal point; bytes 28-31: NULs; bytes 32-39: the row's
+#: end, in its last cell.
 _CELL_WORDS = 5
 
 
@@ -116,21 +116,17 @@ _CELL_WORDS = 5
 def _g10_tables() -> tuple[np.ndarray, ...]:
     """The kernel's lookup tables.
 
-    ``mul`` and ``div``, indexed by i = e + 1 - _E_MIN, scale |x| to ten
-    integer digits; both ends are NaN and stand for every e out of range.
-    ``digits[v]`` spells v < 10^4 as four digits two bytes apart, with their
-    count of trailing zeros in the top byte; ``digits2`` does the same for
-    v < 100. ``adds`` holds the cells' words and ``masks`` the masks of digit
-    words 1-3 for key = 10·i + trailing zeros of the ten digits: ``masks``
-    keeps the digits shown, ``adds`` puts in the lead, point and exponent.
+    ``mul``, indexed by i = e + 1 - _E_MIN, scales |x| to ten integer digits;
+    both ends are NaN and stand for every e out of range. ``digits[v]``
+    spells v < 10^4 as four digits two bytes apart, with their count of
+    trailing zeros in the top byte; ``digits2`` does the same for v < 100.
+    ``adds`` holds the cells' words and ``masks`` the masks of digit words 1-3
+    for key = 10·i + trailing zeros of the ten digits: ``masks`` keeps the
+    digits shown, ``adds`` puts in the lead and the point.
     """
     e = np.arange(_E_MIN - 1, _E_MAX + 2)
-    k = 9 - e
-    tens = np.cumprod([1.0] + [10.0] * 22)  # 10^0..10^22, each exact
-    power = tens[np.minimum(np.abs(k), 22)]
-    mul = np.where(k >= 0, power, 1.0)
-    div = np.where(k < 0, power, 1.0)
-    mul[[0, -1]] = np.nan
+    mul = np.full(e.shape, np.nan)
+    mul[1:-1] = 10 ** (9 - e[1:-1])  # exact: int64 powers of ten below 2^53
 
     # v = 1000·d0 + 100·d1 + 10·d2 + d3 on four broadcast axes
     d = np.ix_(*[np.arange(10, dtype=np.int64)] * 4)
@@ -141,24 +137,20 @@ def _g10_tables() -> tuple[np.ndarray, ...]:
     digits, digits2 = digits.ravel(), digits2.ravel()
 
     e = e[:, None]
-    fixed = (-4 <= e) & (e < 10)
     # the point follows digit `point`, unless every later digit is a trailing zero
-    point = np.where(fixed & (e >= 0), e, 0)
+    point = np.maximum(e, 0)
     last = np.maximum(point, 9 - np.arange(10))  # the last digit shown
     masks = np.zeros((*last.shape, 8 * _CELL_WORDS), np.uint8)
     masks[..., 8:28:2] = np.where(np.arange(10) <= last[..., None], 0xFF, 0)
     adds = np.zeros_like(masks)
-    dot = (last > point) & ~(fixed & (e < 0))
+    dot = (last > point) & (e >= 0)
     adds[..., 9:29:2] = np.where((np.arange(10) == point[..., None]) & dot[..., None], ord("."), 0)
     # "0." and then -e - 1 zeros before the digits of 1e-4 <= |x| < 1
-    lead = np.where(np.arange(5) < np.where(fixed & (e < 0), 1 - e, 0), ord("0"), 0)
+    lead = np.where(np.arange(5) < np.where(e < 0, 1 - e, 0), ord("0"), 0)
     lead[:, 1] = np.where(lead[:, 1], ord("."), 0)
     adds[..., 2:7] = lead[:, None]
-    exponent = np.stack([np.full_like(e, ord("e")), np.where(e < 0, ord("-"), ord("+")),
-                         abs(e) // 10 + ord("0"), abs(e) % 10 + ord("0")], axis=-1)
-    adds[..., 28:32] = np.where(fixed[..., None], 0, exponent)
     masks, adds = (a.view("<i8").reshape(-1, _CELL_WORDS) for a in (masks, adds))
-    tables = mul, div, digits, digits2, *(masks[:, j].copy() for j in (1, 2, 3)), adds
+    tables = mul, digits, digits2, *(masks[:, j].copy() for j in (1, 2, 3)), adds
     for table in tables:
         table.flags.writeable = False  # every call shares them
     return tables
@@ -193,10 +185,10 @@ class _TextBlock:
         ``floor(log10|x|)`` calls for, and rounded to ten digits. A value goes
         to ``%`` unless the scaled m satisfies 1e9 <= m, rint(m) < 1e10 and
         |m − rint(m)| < _TIE_MARGIN, with the guess in range: then rint(m) is
-        the correctly rounded digits whatever the guess was, and zero, inf and
-        NaN never pass.
+        the correctly rounded digits whatever the guess was. Zero, inf, NaN
+        and every value that ``.10g`` prints with an exponent never pass.
         """
-        mul, div, digits, digits2, *masks, adds = _g10_tables()
+        mul, digits, digits2, *masks, adds = _g10_tables()
         x, cells = self.values[:n], self.cells[:n]
         a, m, r = self._float[:, :n]
         i, whole, temp = self._int[:, :n]
@@ -211,7 +203,6 @@ class _TextBlock:
             i[...] = m
             np.take(mul, i, out=m, mode="clip")
             m *= a
-            m /= np.take(div, i, out=a, mode="clip")
             np.rint(m, out=r)
             np.less(np.abs(np.subtract(m, r, out=a), out=a), _TIE_MARGIN, out=ok)
             ok &= np.greater_equal(m, 1e9, out=b)
