@@ -342,11 +342,15 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
-        # every output file is written by now; fd 1 on devnull quiets the exit flush
+    except OSError as exc:
+        # only stdout can fail here: every output file is written, or a UsageError,
+        # by now; fd 1 on devnull quiets the exit flush
         with open(os.devnull, "wb") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
-        _print_err("usage error: standard output was closed")
+        if isinstance(exc, BrokenPipeError):
+            _print_err("usage error: standard output was closed")
+        else:
+            _print_err(f"usage error: cannot write standard output: {exc.strerror or exc}")
         return 1
     except UsageError as exc:
         _print_err(f"usage error: {exc}")

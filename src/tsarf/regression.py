@@ -2,15 +2,15 @@
 
 Every regression in TSARF fits a two-parameter line, so the kernel takes
 designs with exactly two columns, either one ``(n, 2)`` design or a stack of
-``(W, k, 2)`` designs fitted at once. The normal equations X'X b = X'y of
-every system are formed with one batched matmul, and each 2x2 Gram matrix is
-factored in closed form: l11 = sqrt(g00), l21 = g10 (1/l11) and
-l22 = sqrt(g11 - l21 l21), the expressions LAPACK's unblocked Cholesky
-evaluates. The two triangular solves are written out with the same
+``(W, k, 2)`` designs fitted at once; both run the same lines. The normal
+equations X'X b = X'y come from five sums, Σx0², Σx0x1, Σx1², Σx0y and
+Σx1y, each an ``np.add.reduce`` of elementwise products over the observation
+axis. Each 2x2 Gram matrix is factored in closed form: l11 = sqrt(g00),
+l21 = g10 (1/l11) and l22 = sqrt(g11 - l21 l21), the expressions LAPACK's
+unblocked Cholesky evaluates. The two triangular solves are written out with the same
 reciprocal pivots, so no explicit inverse is formed and no per-system Python
-loop runs. The Gram matrix and right-hand side stay a matmul: explicit sums
-or ``einsum`` round differently in the last bit, which can move the
-automatic moving-average length.
+loop runs. No step calls BLAS, and numpy's sums follow a fixed order, so a
+fit's bits depend neither on numpy's SIMD level nor on OpenBLAS's kernel.
 
 A system fails when its Gram matrix, right-hand side or coefficients are
 not finite (overflow) or when a pivot, squared, is not above SINGULARITY_RTOL
@@ -72,41 +72,36 @@ def ols_fit(X, y) -> np.ndarray:
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise UsageError("design matrix and response must be finite")
 
-    stacked = X.ndim == 3
-    if not stacked:
-        X, y = X[None], y[None]
-    if single:
-        y = y[..., None]
-    XT = np.swapaxes(X, -1, -2)
+    x0, x1 = X[..., 0], X[..., 1]
+    # responses as rows, so that every product below is dense with observations last
+    Y = np.ascontiguousarray(np.swapaxes(y[..., None] if single else y, -1, -2))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        gram = XT @ X
-        rhs = XT @ y
-        g00, g10, g11 = gram[:, 0, 0], gram[:, 1, 0], gram[:, 1, 1]
+        # X'X and X'y
+        g00, g10, g11 = (np.add.reduce(a * b, axis=-1) for a, b in ((x0, x0), (x0, x1), (x1, x1)))
+        h0, h1 = (np.add.reduce(x[..., None, :] * Y, axis=-1) for x in (x0, x1))
         l11 = np.sqrt(g00)
         inv11 = 1.0 / l11
         l21 = g10 * inv11
         l22 = np.sqrt(g11 - l21 * l21)
         singular = ~((l11 * l11 > SINGULARITY_RTOL * g00) & (l22 * l22 > SINGULARITY_RTOL * g11))
-        inv11, l21 = inv11[:, None], l21[:, None]
-        inv22 = 1.0 / l22[:, None]
-        z1 = rhs[:, 0] * inv11
-        z2 = (rhs[:, 1] - l21 * z1) * inv22
-        x2 = z2 * inv22
-        x1 = (z1 - l21 * x2) * inv11
-        beta = np.stack([x1, x2], axis=1)
+        inv11, l21 = inv11[..., None], l21[..., None]
+        inv22 = 1.0 / l22[..., None]
+        z1 = h0 * inv11
+        z2 = (h1 - l21 * z1) * inv22
+        b1 = z2 * inv22
+        b0 = (z1 - l21 * b1) * inv11
+        beta = np.stack([b0, b1], axis=-2)
         # a singular system's coefficients mean nothing; a regular one's may overflow
-        solved = singular | np.isfinite(beta).all(axis=(1, 2))
-        overflow = ~(np.isfinite(gram).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=(1, 2)) & solved)
+        solved = singular | np.isfinite(beta).all(axis=(-2, -1))
+        finite = np.isfinite([g00, g10, g11]).all(axis=0) & np.isfinite([h0, h1]).all(axis=(0, -1))
+        overflow = ~(finite & solved)
     failed = overflow | singular
     if failed.any():
         index = int(np.argmax(failed))
-        if overflow[index]:
+        if overflow.flat[index]:
             exc = RankDeficiencyError("normal equations overflow")
         else:
             exc = RankDeficiencyError(f"normal equations singular to tolerance {SINGULARITY_RTOL:g}")
         exc.index = index
         raise exc
-
-    if single:
-        beta = beta[..., 0]
-    return beta if stacked else beta[0]
+    return beta[..., 0] if single else beta

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -160,6 +161,23 @@ def test_closed_stdout_is_one_line_usage_error(tmp_path, go_file, unbuffered, ar
     finally:
         os.close(write)
     assert (result.returncode, result.stderr) == (1, "usage error: standard output was closed\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["compare", "{go}"],
+    ["sweep", "{go}", "--param", "window", "--values", "3,4"],
+    ["simulate", "--kind", "go", "--a", "50", "--b", "0.1", "--horizon", "30", "--output", "sim.txt"],
+    ["fit", "{go}", "--model", "go"],
+], ids=["compare", "sweep", "simulate", "fit"])
+def test_full_stdout_is_one_line_usage_error(tmp_path, go_file, unbuffered, argv):
+    """A standard output that cannot take the printout costs one stderr line, not a traceback."""
+    with open("/dev/full", "wb") as full:
+        result = run_fresh("-m", "tsarf", *(arg.format(go=go_file) for arg in argv), cwd=tmp_path,
+                           env={"PYTHONUNBUFFERED": unbuffered}, stdout=full)
+    expected = f"usage error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+    assert (result.returncode, result.stderr) == (1, expected)
 
 
 def test_outputs_do_not_depend_on_the_locale(tmp_path, go_file):

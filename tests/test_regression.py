@@ -1,9 +1,18 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsarf import RankDeficiencyError, UsageError, design_matrix, ols_fit
+import tsarf
+from conftest import make_changepoint_curve
+from tsarf import RankDeficiencyError, UsageError, design_matrix, ols_fit, tsarf_forecast
 from tsarf.regression import SINGULARITY_RTOL
 
 TOLERANCE_MESSAGE = f"normal equations singular to tolerance {SINGULARITY_RTOL:g}"
@@ -203,15 +212,21 @@ def _cholesky_factor(gram, rhs):
 def cholesky_oracle(X, y):
     """The LAPACK solve the closed-form factor replaced: one batched
     ``np.linalg.cholesky``, then one system at a time to name the first that
-    fails. Returns the coefficients, or (index, message) of the first failure."""
+    fails. Returns the coefficients, or (index, message) of the first failure.
+    The Gram matrix and right-hand side come from numpy sums, not a matmul,
+    whose bits would follow OpenBLAS's kernel."""
     stacked, single = X.ndim == 3, y.ndim == X.ndim - 1
     if not stacked:
         X, y = X[None], y[None]
     if single:
         y = y[..., None]
-    XT = np.swapaxes(X, -1, -2)
+    # the five sums, each reduced over the observation axis as ols_fit does
+    x0, x1 = X[..., 0], X[..., 1]
+    columns = [y[..., j] for j in range(y.shape[-1])]
     with np.errstate(over="ignore", invalid="ignore"):
-        gram, rhs = XT @ X, XT @ y
+        s00, s01, s11 = (np.add.reduce(a * b, axis=-1) for a, b in [(x0, x0), (x0, x1), (x1, x1)])
+        gram = np.stack([np.stack([s00, s01], -1), np.stack([s01, s11], -1)], -2)
+        rhs = np.stack([np.stack([np.add.reduce(x * c, axis=-1) for c in columns], -1) for x in (x0, x1)], -2)
     try:
         chol = _cholesky_factor(gram, rhs)
     except RankDeficiencyError:
@@ -279,3 +294,39 @@ def test_equal_times_raise_the_tolerance_error(n):
     with pytest.raises(RankDeficiencyError) as info:
         ols_fit(design_matrix(np.full(n, 0.1)), np.arange(float(n)))
     assert (info.value.index, str(info.value)) == (0, TOLERANCE_MESSAGE)
+
+
+def line_fit_digests() -> dict[str, str]:
+    """Digests of a plain X'X matmul and of ols_fit on stacked changepoint
+    designs at k = 3 and 10, and of a TSARF forecast's arrays on that curve."""
+    curve = make_changepoint_curve(np.random.default_rng(3), n=9_990)
+    arrays = {}
+    for k in (3, 10):
+        X, y = design_matrix(curve.times.reshape(-1, k)), curve.counts.reshape(-1, k)
+        arrays[f"probe k={k}"] = np.swapaxes(X, -1, -2) @ X
+        arrays[f"ols_fit k={k}"] = ols_fit(X, y)
+    model = tsarf_forecast(curve, k=3)
+    for name in ("coefficients", "raw_forecast", "corrected_forecast", "epsilon", "trend"):
+        arrays[f"model.{name}"] = getattr(model, name)
+    arrays["model.history.matrix"] = model.history.matrix
+    arrays["model.ma_candidates"] = np.array(model.ma_candidates)
+    return {name: hashlib.sha256(a.tobytes()).hexdigest() for name, a in arrays.items()}
+
+
+def test_line_fits_do_not_depend_on_openblas_kernel():
+    """OpenBLAS picks its matmul kernel by CPU; the line fits use none."""
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(tsarf.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "OPENBLAS_CORETYPE": "Prescott",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, tests, os.environ.get("PYTHONPATH")])),
+    }
+    script = "import json, test_regression; print(json.dumps(test_regression.line_fit_digests()))"
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    child, here = json.loads(result.stdout), line_fit_digests()
+    if all(child[f"probe k={k}"] == here[f"probe k={k}"] for k in (3, 10)):
+        pytest.skip("X'X by matmul gives the same bits under OPENBLAS_CORETYPE=Prescott")
+    fits = {name for name in here if not name.startswith("probe")}
+    assert {name for name in fits if child[name] != here[name]} == set()
