@@ -38,10 +38,18 @@ from .srgm import SrgmKind, SrgmParams, fit_srgm, mvf, poisson_band, simulate_nh
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse reports usage problems via UsageError so they exit 1, not 2."""
+    """argparse reports usage problems via UsageError so they exit 1, not 2,
+    and a --help or --version that cannot be printed raises its OSError."""
 
     def error(self, message: str):
         raise UsageError(message)
+
+    def _print_message(self, message: str, file=None) -> None:
+        # argparse's own swallows the OSError, and --help then exits 0
+        if message:
+            file = file or sys.stderr
+            file.write(message)
+            file.flush()
 
 
 def _print_err(text: str) -> None:
@@ -104,21 +112,36 @@ def _parse_values(raw: str, what: str, minimum: int) -> range | list[int]:
     return values
 
 
-def _write(path: str | Path, write) -> Path:
-    """Resolve an output path, create its directory and pass it to ``write``.
+def _write(*outputs) -> list[Path]:
+    """Write every ``(path, write)`` output of a command, or none of them.
 
-    An output that cannot be created or written is a usage error.
+    Relative paths start from TSARF_OUTDIR when it is set, and missing
+    directories are created. A new or regular file is written to a temporary
+    sibling that replaces it once every write has succeeded; a link, device
+    or directory is written in place. An output that cannot be created or
+    written is a usage error.
     """
-    path = Path(path)
-    outdir = os.environ.get("TSARF_OUTDIR")
-    if outdir and not path.is_absolute():
-        path = Path(outdir) / path
+    # an absolute path replaces the base
+    paths = [Path(os.environ.get("TSARF_OUTDIR", ""), path) for path, _ in outputs]
+    replacements: list[tuple[Path, Path]] = []
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write(path)
+        for path, (_, write) in zip(paths, outputs):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if path.is_symlink() or (path.exists() and not path.is_file()):
+                write(path)
+            else:
+                # one temporary per output, in case two outputs share a path
+                temporary = path.with_name(f".{path.name}.{os.getpid()}-{len(replacements)}.tmp")
+                replacements.append((path, temporary))
+                write(temporary)
+        for path, temporary in replacements:
+            os.replace(temporary, path)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
-    return path
+    finally:
+        for _, temporary in replacements:
+            temporary.unlink(missing_ok=True)
+    return paths
 
 
 def _read(path: str) -> tuple[GrowthCurve, dict]:
@@ -170,8 +193,9 @@ def _run_models(
     return entries, predictions
 
 
-def _run_and_report(args, models: list[str]) -> tuple[GrowthCurve, SplitCurve, list[dict], dict[str, np.ndarray]]:
-    """Read, split and run the models of ``compare`` or ``fit``, then write the run report."""
+def _run_and_report(args, models: list[str], curves: str | None = None) -> list[dict]:
+    """Read, split and run the models of ``compare`` or ``fit``, then write the
+    run report and, when ``curves`` is given, the curves table there."""
     curve, meta = _read(args.input)
     k = _parse_auto_int(args.window_size, "window size", 3)
     parts = split(curve, args.test_len, test_fraction=args.test_fraction, k=k)
@@ -179,13 +203,15 @@ def _run_and_report(args, models: list[str]) -> tuple[GrowthCurve, SplitCurve, l
 
     entries, predictions = _run_models(curve, parts, models, k, d)
     report = run_report(meta, parts, entries)
-    _write(args.output, lambda path: write_report(report, path))
-    return curve, parts, entries, predictions
+    outputs = [(args.output, lambda path: write_report(report, path))]
+    if curves is not None:
+        outputs.append((curves, lambda path: write_curves_csv(path, curve.times, curve.counts, predictions, parts.train.n)))
+    _write(*outputs)
+    return entries
 
 
 def cmd_compare(args) -> int:
-    curve, parts, entries, predictions = _run_and_report(args, args.models)
-    _write(args.curves, lambda path: write_curves_csv(path, curve.times, curve.counts, predictions, parts.train.n))
+    entries = _run_and_report(args, args.models, args.curves)
     print(render_metrics_table(entries))
     failed = [entry for entry in entries if entry["status"] != "ok"]
     for entry in failed:
@@ -229,7 +255,7 @@ def cmd_sweep(args) -> int:
         rows.append(row)
 
     label = "size" if args.param == "window" else "length"
-    _write(args.output, lambda path: write_sweep_csv(path, label, names, rows))
+    _write((args.output, lambda path: write_sweep_csv(path, label, names, rows)))
     print(render_sweep_table(label, names, rows))
     return 0
 
@@ -242,7 +268,7 @@ def cmd_simulate(args) -> int:
         f"simulated {kind.value} failure times",
         f"a={args.a} b={args.b} c={args.c} horizon={args.horizon} seed={args.seed}",
     ]
-    path = _write(args.output, lambda path: write_failure_times(path, header, times))
+    [path] = _write((args.output, lambda path: write_failure_times(path, header, times)))
 
     total = mvf(kind, params, args.horizon)
     lo, hi = poisson_band(total)
@@ -259,7 +285,7 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     if len(args.model) != 1:
         raise UsageError(f"fit takes one model, got {len(args.model)}")
-    _, _, entries, _ = _run_and_report(args, args.model)
+    entries = _run_and_report(args, args.model)
     entry = entries[0]
     if entry["status"] != "ok":
         _print_err(f"convergence error: {entry['error']}")

@@ -98,17 +98,17 @@ def forecast_coefficients(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     index and extrapolate to W + 1.
 
     Returns the (2, 2) trend, whose row rho holds (intercept, slope) of
-    coefficient rho over the window index, and the raw forecast. Both
-    coefficient columns share the window-index design, so one fit with a
-    two-column response yields the whole trend.
+    coefficient rho over the window index, and the raw forecast. The two
+    coefficient columns are fitted as one stack of two systems on the same
+    window-index design.
     """
     n_windows = len(matrix)
     if n_windows < 2:
         raise InsufficientDataError(
             f"coefficient trend needs at least 2 windows, have {n_windows}"
         )
-    index = design_matrix(np.arange(1, n_windows + 1, dtype=float))
-    trend = ols_fit(index, matrix).T
+    index = np.arange(1, n_windows + 1, dtype=float)
+    trend = ols_fit(design_matrix(np.tile(index, (2, 1))), matrix.T)
     return trend, _trend_at(trend, n_windows + 1)
 
 

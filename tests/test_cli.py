@@ -170,9 +170,12 @@ def test_closed_stdout_is_one_line_usage_error(tmp_path, go_file, unbuffered, ar
     ["sweep", "{go}", "--param", "window", "--values", "3,4"],
     ["simulate", "--kind", "go", "--a", "50", "--b", "0.1", "--horizon", "30", "--output", "sim.txt"],
     ["fit", "{go}", "--model", "go"],
-], ids=["compare", "sweep", "simulate", "fit"])
+    ["--help"],
+    ["--version"],
+], ids=["compare", "sweep", "simulate", "fit", "help", "version"])
 def test_full_stdout_is_one_line_usage_error(tmp_path, go_file, unbuffered, argv):
-    """A standard output that cannot take the printout costs one stderr line, not a traceback."""
+    """A standard output that cannot take the printout costs one stderr line,
+    not a traceback; argparse prints --help and --version itself."""
     with open("/dev/full", "wb") as full:
         result = run_fresh("-m", "tsarf", *(arg.format(go=go_file) for arg in argv), cwd=tmp_path,
                            env={"PYTHONUNBUFFERED": unbuffered}, stdout=full)
@@ -494,13 +497,35 @@ def test_compare_unparsable_option_exits_1(tmp_path, line_file, capsys, option, 
     (["sweep", "{go}", "--param", "window", "--values", "3", "--output", "{dir}"], "{dir}"),
     (["simulate", "--kind", "go", "--a", "5", "--b", "1", "--horizon", "3", "--output", "{dir}"], "{dir}"),
 ], ids=["compare-output-dir", "compare-curves-dir", "compare-output-under-file", "fit", "sweep", "simulate"])
-def test_unwritable_output_is_one_line_usage_error(tmp_path, go_file, capsys, argv, target):
+def test_unwritable_output_is_one_line_usage_error(tmp_path, go_file, capsys, monkeypatch, argv, target):
+    """A command that cannot write one output writes none: compare's default
+    report.json and curves.csv would land in the working directory."""
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "file").write_text("")
     paths = {"go": go_file, "dir": tmp_path, "file": tmp_path / "file"}
     rc = main([arg.format(**paths) for arg in argv])
     assert rc == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"usage error: cannot write {target.format(**paths)}: "), lines
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["file", go_file.name]
+
+
+def test_output_through_a_symbolic_link_is_written_in_place(tmp_path, go_file):
+    """An output is replaced whole through a temporary, except a link, which keeps its target."""
+    (tmp_path / "link.json").symlink_to("target.json")
+    rc = main(["compare", str(go_file), "--models", "tsarf",
+               "--output", str(tmp_path / "link.json"), "--curves", str(tmp_path / "curves.csv")])
+    assert rc == 0
+    assert (tmp_path / "link.json").is_symlink()
+    assert json.loads((tmp_path / "target.json").read_text())["models"][0]["status"] == "ok"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["curves.csv", go_file.name, "link.json", "target.json"]
+
+
+def test_outputs_sharing_a_path_leave_the_last_one(tmp_path, go_file):
+    both = str(tmp_path / "both.csv")
+    assert main(["compare", str(go_file), "--models", "tsarf", "--output", both, "--curves", both]) == 0
+    assert (tmp_path / "both.csv").read_text().startswith("t,actual,tsarf,partition\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["both.csv", go_file.name]
 
 
 def test_compare_reads_csv_curves(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import tsarf
 from conftest import make_changepoint_curve
-from tsarf import RankDeficiencyError, UsageError, design_matrix, ols_fit, tsarf_forecast
+from tsarf import RankDeficiencyError, UsageError, design_matrix, forecast_coefficients, ols_fit, tsarf_forecast
 from tsarf.regression import SINGULARITY_RTOL
 
 TOLERANCE_MESSAGE = f"normal equations singular to tolerance {SINGULARITY_RTOL:g}"
@@ -70,20 +70,25 @@ def test_predict_constant_for_zero_slope():
     assert (X @ np.array([4.5, 0.0])).tolist() == [4.5, 4.5, 4.5]
 
 
-def test_two_column_response_matches_single_columns():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        X = design_matrix(rng.uniform(0, 100, size=9))
-        Y = rng.normal(0, 50, size=(9, 2))
-        joint = ols_fit(X, Y)
-        assert joint.shape == (2, 2)
-        for col in range(2):
-            assert joint[:, col] == pytest.approx(ols_fit(X, Y[:, col]), rel=1e-12)
+@settings(max_examples=50, deadline=None)
+@given(
+    n_windows=st.integers(2, 5_000),
+    scale=st.floats(-3, 3).map(lambda e: 10.0**e),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trend_equals_per_column_single_fits_bitwise(n_windows, scale, seed):
+    """Stage 2's two-system stack gives each coefficient column the fit it gets on its own."""
+    matrix = scale * np.random.default_rng(seed).normal(size=(n_windows, 2))
+    trend, _ = forecast_coefficients(matrix)
+    index = design_matrix(np.arange(1, n_windows + 1, dtype=float))
+    expected = np.stack([ols_fit(index, matrix[:, rho]) for rho in range(2)])
+    assert trend.shape == (2, 2) and np.array_equal(trend, expected)
 
 
-def test_response_length_mismatch():
-    with pytest.raises(UsageError):
-        ols_fit(design_matrix([1.0, 2.0, 3.0]), np.array([1.0, 2.0]))
+@pytest.mark.parametrize("y", [np.array([1.0, 2.0]), np.ones((3, 2))], ids=["length", "two-columns"])
+def test_response_shape_mismatch(y):
+    with pytest.raises(UsageError, match="response shape"):
+        ols_fit(design_matrix([1.0, 2.0, 3.0]), y)
 
 
 def test_overflowing_normal_equations_are_rank_deficient():
@@ -155,6 +160,16 @@ def test_stacked_error_names_first_failing_system():
     assert info.value.index == 2
 
 
+def window_stack(k, n_windows, offset, scale, seed):
+    """n_windows windows of k growth-curve points: times with 10 % ties
+    from ``offset`` at spacing ``scale``, and noisy counts."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.exponential(size=n_windows * k) * (rng.uniform(size=n_windows * k) < 0.9)
+    t = (offset + scale * np.cumsum(gaps)).reshape(n_windows, k)
+    y = np.arange(1.0, n_windows * k + 1).reshape(n_windows, k) + rng.normal(size=(n_windows, k))
+    return design_matrix(t), y
+
+
 def loop_outcome(X, y):
     """Per-window reference: every window fitted on its own, in order."""
     rows = []
@@ -173,27 +188,41 @@ def stacked_outcome(X, y):
         return exc.index, str(exc)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
+def assert_same_outcome(got, expected):
+    """The same coefficients bit for bit, or the same (index, message) failure."""
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+
+stack_params = dict(
     k=st.integers(3, 50),
     n_windows=st.integers(2, 40),
     offset=st.sampled_from([0.0, 1.0, 1e3, 1e6]) | st.floats(0, 1e6),
     scale=st.floats(1e-6, 1e6),
     seed=st.integers(0, 2**32 - 1),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(**stack_params)
 def test_stacked_fit_equals_per_window_loop_bitwise(k, n_windows, offset, scale, seed):
-    rng = np.random.default_rng(seed)
-    gaps = rng.exponential(size=n_windows * k) * (rng.uniform(size=n_windows * k) < 0.9)
-    t = (offset + scale * np.cumsum(gaps)).reshape(n_windows, k)
-    y = np.arange(1.0, n_windows * k + 1).reshape(n_windows, k) + rng.normal(size=(n_windows, k))
-    X = design_matrix(t)
-    for response in (y, np.stack([y, -3.0 * y], axis=-1)):
-        stacked, loop = stacked_outcome(X, response), loop_outcome(X, response)
-        if isinstance(loop, tuple):
-            assert stacked == loop
-        else:
-            assert stacked.dtype == loop.dtype and stacked.shape == loop.shape
-            assert np.array_equal(stacked, loop)
+    X, y = window_stack(k, n_windows, offset, scale, seed)
+    assert_same_outcome(stacked_outcome(X, y), loop_outcome(X, y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(**stack_params)
+def test_fit_does_not_depend_on_memory_layout(k, n_windows, offset, scale, seed):
+    """numpy's sums follow the memory layout, so the kernel sums C-ordered copies."""
+    X, y = window_stack(k, n_windows, offset, scale, seed)
+    fortran_X, transposed_y = np.asfortranarray(X), np.ascontiguousarray(y.T).T
+    assert not (fortran_X.flags.c_contiguous or transposed_y.flags.c_contiguous)
+    loop = loop_outcome(X, y)
+    for design, response in ((fortran_X, y), (X, transposed_y), (fortran_X, transposed_y)):
+        assert_same_outcome(stacked_outcome(design, response), loop)
 
 
 def _cholesky_factor(gram, rhs):
@@ -215,18 +244,17 @@ def cholesky_oracle(X, y):
     fails. Returns the coefficients, or (index, message) of the first failure.
     The Gram matrix and right-hand side come from numpy sums, not a matmul,
     whose bits would follow OpenBLAS's kernel."""
-    stacked, single = X.ndim == 3, y.ndim == X.ndim - 1
+    stacked = X.ndim == 3
     if not stacked:
         X, y = X[None], y[None]
-    if single:
-        y = y[..., None]
     # the five sums, each reduced over the observation axis as ols_fit does
     x0, x1 = X[..., 0], X[..., 1]
-    columns = [y[..., j] for j in range(y.shape[-1])]
     with np.errstate(over="ignore", invalid="ignore"):
-        s00, s01, s11 = (np.add.reduce(a * b, axis=-1) for a, b in [(x0, x0), (x0, x1), (x1, x1)])
+        s00, s01, s11, r0, r1 = (
+            np.add.reduce(a * b, axis=-1) for a, b in [(x0, x0), (x0, x1), (x1, x1), (x0, y), (x1, y)]
+        )
         gram = np.stack([np.stack([s00, s01], -1), np.stack([s01, s11], -1)], -2)
-        rhs = np.stack([np.stack([np.add.reduce(x * c, axis=-1) for c in columns], -1) for x in (x0, x1)], -2)
+        rhs = np.stack([r0, r1], -1)
     try:
         chol = _cholesky_factor(gram, rhs)
     except RankDeficiencyError:
@@ -236,12 +264,10 @@ def cholesky_oracle(X, y):
             except RankDeficiencyError as exc:
                 return i, str(exc)
         raise
-    inv11, inv22, l21 = 1.0 / chol[:, 0, 0, None], 1.0 / chol[:, 1, 1, None], chol[:, 1, 0, None]
+    inv11, inv22, l21 = 1.0 / chol[:, 0, 0], 1.0 / chol[:, 1, 1], chol[:, 1, 0]
     z1 = rhs[:, 0] * inv11
     x2 = (rhs[:, 1] - l21 * z1) * inv22 * inv22
     beta = np.stack([(z1 - l21 * x2) * inv11, x2], axis=1)
-    if single:
-        beta = beta[..., 0]
     return beta if stacked else beta[0]
 
 
@@ -255,24 +281,16 @@ def cholesky_oracle(X, y):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_closed_form_factor_equals_cholesky_oracle_bitwise(k, n_windows, one_design, offset, scale, seed):
-    rng = np.random.default_rng(seed)
-    gaps = rng.exponential(size=n_windows * k) * (rng.uniform(size=n_windows * k) < 0.9)
-    t = (offset + scale * np.cumsum(gaps)).reshape(n_windows, k)
-    y = np.arange(1.0, n_windows * k + 1).reshape(n_windows, k) + rng.normal(size=(n_windows, k))
-    X = design_matrix(t)
+    X, y = window_stack(k, n_windows, offset, scale, seed)
     if one_design:
         X, y = X[0], y[0]
-    for response in (y, np.stack([y, -3.0 * y], axis=-1)):
-        closed, oracle = stacked_outcome(X, response), cholesky_oracle(X, response)
-        if isinstance(oracle, tuple):
-            index, message = oracle
-            # LAPACK stops at a pivot that is not positive; the closed form
-            # counts it as singular to tolerance
-            expected = TOLERANCE_MESSAGE if message == "normal equations are singular" else message
-            assert closed == (index, expected)
-        else:
-            assert closed.dtype == oracle.dtype and closed.shape == oracle.shape
-            assert np.array_equal(closed, oracle)
+    oracle = cholesky_oracle(X, y)
+    if isinstance(oracle, tuple):
+        index, message = oracle
+        # LAPACK stops at a pivot that is not positive; the closed form
+        # counts it as singular to tolerance
+        oracle = index, TOLERANCE_MESSAGE if message == "normal equations are singular" else message
+    assert_same_outcome(stacked_outcome(X, y), oracle)
 
 
 @pytest.mark.parametrize(
