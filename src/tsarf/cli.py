@@ -119,10 +119,14 @@ def _write(*outputs) -> list[Path]:
     directories are created. A new or regular file is written to a temporary
     sibling that replaces it once every write has succeeded; a link, device
     or directory is written in place. An output that cannot be created or
-    written is a usage error.
+    written is a usage error, and so are two outputs that name one file.
     """
     # an absolute path replaces the base
     paths = [Path(os.environ.get("TSARF_OUTDIR", ""), path) for path, _ in outputs]
+    targets = [os.path.realpath(path) for path in paths]
+    for index, target in enumerate(targets):
+        if target in targets[:index]:
+            raise UsageError(f"two outputs name one file: {paths[index]}")
     replacements: list[tuple[Path, Path]] = []
     try:
         for path, (_, write) in zip(paths, outputs):
@@ -130,8 +134,7 @@ def _write(*outputs) -> list[Path]:
             if path.is_symlink() or (path.exists() and not path.is_file()):
                 write(path)
             else:
-                # one temporary per output, in case two outputs share a path
-                temporary = path.with_name(f".{path.name}.{os.getpid()}-{len(replacements)}.tmp")
+                temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
                 replacements.append((path, temporary))
                 write(temporary)
         for path, temporary in replacements:

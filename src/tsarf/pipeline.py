@@ -26,6 +26,7 @@ from .errors import (
     RankDeficiencyError,
     UsageError,
 )
+# unused, but perfbench/tracing.py wraps design_matrix here and fails on an absent name
 from .regression import design_matrix, ols_fit
 
 
@@ -66,7 +67,7 @@ def fit_windows(train: GrowthCurve, k: int) -> CoefficientHistory:
     The windows are non-overlapping blocks of exactly k points, aligned to the
     training end: the first train.n % k points are dropped so the last window
     ends at the last training point, and the rest reshapes to one (W, k)
-    stack of designs. Requires at least two full windows.
+    stack of predictors. Requires at least two full windows.
     """
     if k < 3:
         raise UsageError(f"window size k must be >= 3, got {k}")
@@ -79,7 +80,7 @@ def fit_windows(train: GrowthCurve, k: int) -> CoefficientHistory:
     t = train.times[n_dropped:].reshape(-1, k)
     y = train.counts[n_dropped:].reshape(-1, k)
     try:
-        matrix = ols_fit(design_matrix(t), y)
+        matrix = ols_fit(t, y)
     except RankDeficiencyError as exc:
         start = n_dropped + exc.index * k
         raise DegenerateWindowError(
@@ -100,7 +101,7 @@ def forecast_coefficients(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the (2, 2) trend, whose row rho holds (intercept, slope) of
     coefficient rho over the window index, and the raw forecast. The two
     coefficient columns are fitted as one stack of two systems on the same
-    window-index design.
+    window index.
     """
     n_windows = len(matrix)
     if n_windows < 2:
@@ -108,7 +109,7 @@ def forecast_coefficients(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"coefficient trend needs at least 2 windows, have {n_windows}"
         )
     index = np.arange(1, n_windows + 1, dtype=float)
-    trend = ols_fit(design_matrix(np.tile(index, (2, 1))), matrix.T)
+    trend = ols_fit(np.tile(index, (2, 1)), matrix.T)
     return trend, _trend_at(trend, n_windows + 1)
 
 

@@ -521,11 +521,18 @@ def test_output_through_a_symbolic_link_is_written_in_place(tmp_path, go_file):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["curves.csv", go_file.name, "link.json", "target.json"]
 
 
-def test_outputs_sharing_a_path_leave_the_last_one(tmp_path, go_file):
-    both = str(tmp_path / "both.csv")
-    assert main(["compare", str(go_file), "--models", "tsarf", "--output", both, "--curves", both]) == 0
-    assert (tmp_path / "both.csv").read_text().startswith("t,actual,tsarf,partition\n")
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["both.csv", go_file.name]
+@pytest.mark.parametrize("curves", ["same/x", "./same/x", "same/link"], ids=["literal", "dot", "symlink"])
+def test_outputs_naming_one_file_are_a_usage_error(tmp_path, line_file, curves):
+    """Two outputs that resolve to one file would leave only the last one
+    written, so the command writes neither."""
+    (tmp_path / "same").mkdir()
+    (tmp_path / "same" / "link").symlink_to("x")
+    result = run_fresh("-m", "tsarf", "compare", line_file.name, "--models", "tsarf",
+                       "--output", "same/x", "--curves", curves, cwd=tmp_path)
+    assert result.returncode == 1
+    assert result.stderr == f"usage error: two outputs name one file: {Path(curves)}\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [line_file.name, "same"]
+    assert sorted(path.name for path in (tmp_path / "same").iterdir()) == ["link"]
 
 
 def test_compare_reads_csv_curves(tmp_path, capsys):

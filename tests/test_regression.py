@@ -18,11 +18,10 @@ from tsarf.regression import SINGULARITY_RTOL
 TOLERANCE_MESSAGE = f"normal equations singular to tolerance {SINGULARITY_RTOL:g}"
 
 
-def grid_min_sse(X, y, lo=-10.0, hi=10.0, step=0.01):
+def grid_min_sse(x, y, lo=-10.0, hi=10.0, step=0.01):
     """Brute-force SSE minimum over an intercept/slope grid (independent oracle)."""
     b0 = np.arange(lo, hi + step / 2, step)[:, None]
     b1 = np.arange(lo, hi + step / 2, step)[None, :]
-    x = X[:, 1]
     n = len(y)
     sx, sxx = x.sum(), (x * x).sum()
     sy, sxy, syy = y.sum(), (x * y).sum(), (y * y).sum()
@@ -33,28 +32,26 @@ def grid_min_sse(X, y, lo=-10.0, hi=10.0, step=0.01):
 
 
 def test_exact_line():
-    X = np.array([[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
-    beta = ols_fit(X, np.array([3.0, 5.0, 7.0]))
+    beta = ols_fit(np.array([1.0, 2.0, 3.0]), np.array([3.0, 5.0, 7.0]))
     assert beta == pytest.approx([1.0, 2.0], abs=1e-12)
 
 
 def test_duplicate_rows_are_rank_deficient():
     with pytest.raises(RankDeficiencyError):
-        ols_fit(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
+        ols_fit(np.array([1.0, 1.0]), np.array([1.0, 2.0]))
 
 
 def test_underdetermined_is_usage_error():
     with pytest.raises(UsageError):
-        ols_fit(np.array([[1.0, 2.0]]), np.array([1.0]))
+        ols_fit(np.array([2.0]), np.array([1.0]))
 
 
 def test_fit_beats_grid_on_random_instance():
     rng = np.random.default_rng(42)
     x = rng.uniform(0, 10, size=6)
     y = rng.uniform(-5, 5, size=6)
-    X = design_matrix(x)
-    beta = ols_fit(X, y)
-    assert np.sum((y - X @ beta) ** 2) <= grid_min_sse(X, y) + 1e-9
+    b0, b1 = ols_fit(x, y)
+    assert np.sum((y - (b0 + b1 * x)) ** 2) <= grid_min_sse(x, y) + 1e-9
 
 
 def test_predict_identity_slope():
@@ -80,7 +77,7 @@ def test_trend_equals_per_column_single_fits_bitwise(n_windows, scale, seed):
     """Stage 2's two-system stack gives each coefficient column the fit it gets on its own."""
     matrix = scale * np.random.default_rng(seed).normal(size=(n_windows, 2))
     trend, _ = forecast_coefficients(matrix)
-    index = design_matrix(np.arange(1, n_windows + 1, dtype=float))
+    index = np.arange(1, n_windows + 1, dtype=float)
     expected = np.stack([ols_fit(index, matrix[:, rho]) for rho in range(2)])
     assert trend.shape == (2, 2) and np.array_equal(trend, expected)
 
@@ -88,13 +85,12 @@ def test_trend_equals_per_column_single_fits_bitwise(n_windows, scale, seed):
 @pytest.mark.parametrize("y", [np.array([1.0, 2.0]), np.ones((3, 2))], ids=["length", "two-columns"])
 def test_response_shape_mismatch(y):
     with pytest.raises(UsageError, match="response shape"):
-        ols_fit(design_matrix([1.0, 2.0, 3.0]), y)
+        ols_fit([1.0, 2.0, 3.0], y)
 
 
 def test_overflowing_normal_equations_are_rank_deficient():
-    X = design_matrix(1e200 * np.arange(1.0, 6.0))
     with pytest.raises(RankDeficiencyError, match="overflow"):
-        ols_fit(X, np.arange(1.0, 6.0))
+        ols_fit(1e200 * np.arange(1.0, 6.0), np.arange(1.0, 6.0))
 
 
 def test_overflowing_coefficients_are_rank_deficient():
@@ -103,16 +99,17 @@ def test_overflowing_coefficients_are_rank_deficient():
     y = np.arange(1.0, 13.0).reshape(4, 3)
     y[2] *= 1e306
     with pytest.raises(RankDeficiencyError) as info:
-        ols_fit(design_matrix(t), y)
+        ols_fit(t, y)
     assert (info.value.index, str(info.value)) == (2, "normal equations overflow")
 
 
 def test_residual_orthogonality():
     rng = np.random.default_rng(7)
     for _ in range(25):
-        X = design_matrix(rng.uniform(0, 100, size=12))
+        x = rng.uniform(0, 100, size=12)
+        X = design_matrix(x)
         y = rng.normal(0, 50, size=12)
-        beta = ols_fit(X, y)
+        beta = ols_fit(x, y)
         residual = y - X @ beta
         assert np.linalg.norm(X.T @ residual) <= 1e-8 * np.linalg.norm(X.T @ y) + 1e-12
 
@@ -121,21 +118,27 @@ def test_exact_recovery():
     rng = np.random.default_rng(11)
     for _ in range(25):
         beta_true = rng.uniform(-5, 5, size=2)
-        X = design_matrix(rng.uniform(0, 50, size=10))
-        beta = ols_fit(X, X @ beta_true)
+        x = rng.uniform(0, 50, size=10)
+        beta = ols_fit(x, design_matrix(x) @ beta_true)
         assert np.linalg.norm(beta - beta_true) <= 1e-10 * max(1.0, np.linalg.norm(beta_true))
 
 
 def test_rejects_non_finite():
     with pytest.raises(UsageError):
-        ols_fit(np.array([[1.0, np.nan], [1.0, 2.0]]), np.array([1.0, 2.0]))
+        ols_fit(np.array([np.nan, 2.0]), np.array([1.0, 2.0]))
 
 
-@pytest.mark.parametrize("columns", [1, 3])
-def test_design_without_two_columns_is_usage_error(columns):
-    X = np.random.default_rng(3).uniform(size=(8, columns))
+@pytest.mark.parametrize(("x", "y"), [
+    (np.float64(3.0), np.float64(1.0)),
+    (np.ones((2, 3, 4)), np.ones((2, 3, 4))),
+    (np.arange(8.0), np.arange(8.0).reshape(2, 4)),
+    (design_matrix(np.arange(8.0)), np.arange(8.0)),
+], ids=["0-D", "3-D", "response-shape", "design"])
+def test_predictor_and_response_shapes_are_checked(x, y):
+    """A line is fitted to an (n,) or (W, k) predictor and a response of the
+    same shape; a design with its column of ones is rejected, not fitted."""
     with pytest.raises(UsageError, match="shape"):
-        ols_fit(X, np.arange(8.0))
+        ols_fit(x, y)
 
 
 @pytest.mark.parametrize("x", [3.0, np.ones((2, 3, 4))])
@@ -147,7 +150,7 @@ def test_design_matrix_rejects_other_dimensions(x):
 
 def test_singularity_rule_ignores_time_scale():
     t = 1e-8 * np.arange(1.0, 6.0)
-    beta = ols_fit(design_matrix(t), 1e8 * t)
+    beta = ols_fit(t, 1e8 * t)
     assert beta == pytest.approx([0.0, 1e8], rel=1e-9, abs=1e-9)
 
 
@@ -156,7 +159,7 @@ def test_stacked_error_names_first_failing_system():
     t[2] = 7.0
     t[3] = 9.0
     with pytest.raises(RankDeficiencyError) as info:
-        ols_fit(design_matrix(t), np.arange(20.0).reshape(4, 5))
+        ols_fit(t, np.arange(20.0).reshape(4, 5))
     assert info.value.index == 2
 
 
@@ -167,23 +170,23 @@ def window_stack(k, n_windows, offset, scale, seed):
     gaps = rng.exponential(size=n_windows * k) * (rng.uniform(size=n_windows * k) < 0.9)
     t = (offset + scale * np.cumsum(gaps)).reshape(n_windows, k)
     y = np.arange(1.0, n_windows * k + 1).reshape(n_windows, k) + rng.normal(size=(n_windows, k))
-    return design_matrix(t), y
+    return t, y
 
 
-def loop_outcome(X, y):
+def loop_outcome(x, y):
     """Per-window reference: every window fitted on its own, in order."""
     rows = []
-    for w in range(len(X)):
+    for w in range(len(x)):
         try:
-            rows.append(ols_fit(X[w], y[w]))
+            rows.append(ols_fit(x[w], y[w]))
         except RankDeficiencyError as exc:
             return w, str(exc)
     return np.stack(rows)
 
 
-def stacked_outcome(X, y):
+def stacked_outcome(x, y):
     try:
-        return ols_fit(X, y)
+        return ols_fit(x, y)
     except RankDeficiencyError as exc:
         return exc.index, str(exc)
 
@@ -209,20 +212,20 @@ stack_params = dict(
 @settings(max_examples=200, deadline=None)
 @given(**stack_params)
 def test_stacked_fit_equals_per_window_loop_bitwise(k, n_windows, offset, scale, seed):
-    X, y = window_stack(k, n_windows, offset, scale, seed)
-    assert_same_outcome(stacked_outcome(X, y), loop_outcome(X, y))
+    x, y = window_stack(k, n_windows, offset, scale, seed)
+    assert_same_outcome(stacked_outcome(x, y), loop_outcome(x, y))
 
 
 @settings(max_examples=200, deadline=None)
 @given(**stack_params)
 def test_fit_does_not_depend_on_memory_layout(k, n_windows, offset, scale, seed):
     """numpy's sums follow the memory layout, so the kernel sums C-ordered copies."""
-    X, y = window_stack(k, n_windows, offset, scale, seed)
-    fortran_X, transposed_y = np.asfortranarray(X), np.ascontiguousarray(y.T).T
-    assert not (fortran_X.flags.c_contiguous or transposed_y.flags.c_contiguous)
-    loop = loop_outcome(X, y)
-    for design, response in ((fortran_X, y), (X, transposed_y), (fortran_X, transposed_y)):
-        assert_same_outcome(stacked_outcome(design, response), loop)
+    x, y = window_stack(k, n_windows, offset, scale, seed)
+    fortran_x, transposed_y = np.asfortranarray(x), np.ascontiguousarray(y.T).T
+    assert not (fortran_x.flags.c_contiguous or transposed_y.flags.c_contiguous)
+    loop = loop_outcome(x, y)
+    for predictor, response in ((fortran_x, y), (x, transposed_y), (fortran_x, transposed_y)):
+        assert_same_outcome(stacked_outcome(predictor, response), loop)
 
 
 def _cholesky_factor(gram, rhs):
@@ -238,16 +241,17 @@ def _cholesky_factor(gram, rhs):
     return chol
 
 
-def cholesky_oracle(X, y):
+def cholesky_oracle(x, y):
     """The LAPACK solve the closed-form factor replaced: one batched
     ``np.linalg.cholesky``, then one system at a time to name the first that
     fails. Returns the coefficients, or (index, message) of the first failure.
-    The Gram matrix and right-hand side come from numpy sums, not a matmul,
-    whose bits would follow OpenBLAS's kernel."""
-    stacked = X.ndim == 3
+    The Gram matrix and right-hand side come from numpy sums over the explicit
+    design [1, x], not a matmul, whose bits would follow OpenBLAS's kernel."""
+    stacked = x.ndim == 2
+    X = design_matrix(x if stacked else x[None])
     if not stacked:
-        X, y = X[None], y[None]
-    # the five sums, each reduced over the observation axis as ols_fit does
+        y = y[None]
+    # the five sums of the design form, each reduced over the observation axis
     x0, x1 = X[..., 0], X[..., 1]
     with np.errstate(over="ignore", invalid="ignore"):
         s00, s01, s11, r0, r1 = (
@@ -281,16 +285,16 @@ def cholesky_oracle(X, y):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_closed_form_factor_equals_cholesky_oracle_bitwise(k, n_windows, one_design, offset, scale, seed):
-    X, y = window_stack(k, n_windows, offset, scale, seed)
+    x, y = window_stack(k, n_windows, offset, scale, seed)
     if one_design:
-        X, y = X[0], y[0]
-    oracle = cholesky_oracle(X, y)
+        x, y = x[0], y[0]
+    oracle = cholesky_oracle(x, y)
     if isinstance(oracle, tuple):
         index, message = oracle
         # LAPACK stops at a pivot that is not positive; the closed form
         # counts it as singular to tolerance
         oracle = index, TOLERANCE_MESSAGE if message == "normal equations are singular" else message
-    assert_same_outcome(stacked_outcome(X, y), oracle)
+    assert_same_outcome(stacked_outcome(x, y), oracle)
 
 
 @pytest.mark.parametrize(
@@ -302,7 +306,7 @@ def test_mixed_stack_names_first_failure_with_its_own_message(singular_at, overf
     t[singular_at] = 7.0
     t[overflow_at] = 1e200 * np.arange(1.0, 6.0)
     with pytest.raises(RankDeficiencyError) as info:
-        ols_fit(design_matrix(t), np.arange(20.0).reshape(4, 5))
+        ols_fit(t, np.arange(20.0).reshape(4, 5))
     assert (info.value.index, str(info.value)) == (1, message)
 
 
@@ -310,19 +314,21 @@ def test_mixed_stack_names_first_failure_with_its_own_message(singular_at, overf
 def test_equal_times_raise_the_tolerance_error(n):
     """Three equal times 0.1 give a negative last pivot, five a tiny positive one."""
     with pytest.raises(RankDeficiencyError) as info:
-        ols_fit(design_matrix(np.full(n, 0.1)), np.arange(float(n)))
+        ols_fit(np.full(n, 0.1), np.arange(float(n)))
     assert (info.value.index, str(info.value)) == (0, TOLERANCE_MESSAGE)
 
 
 def line_fit_digests() -> dict[str, str]:
-    """Digests of a plain X'X matmul and of ols_fit on stacked changepoint
-    designs at k = 3 and 10, and of a TSARF forecast's arrays on that curve."""
+    """Digests of a plain X'X matmul on stacked changepoint designs and of
+    ols_fit on their predictors at k = 3 and 10, and of a TSARF forecast's
+    arrays on that curve."""
     curve = make_changepoint_curve(np.random.default_rng(3), n=9_990)
     arrays = {}
     for k in (3, 10):
-        X, y = design_matrix(curve.times.reshape(-1, k)), curve.counts.reshape(-1, k)
+        t, y = curve.times.reshape(-1, k), curve.counts.reshape(-1, k)
+        X = design_matrix(t)
         arrays[f"probe k={k}"] = np.swapaxes(X, -1, -2) @ X
-        arrays[f"ols_fit k={k}"] = ols_fit(X, y)
+        arrays[f"ols_fit k={k}"] = ols_fit(t, y)
     model = tsarf_forecast(curve, k=3)
     for name in ("coefficients", "raw_forecast", "corrected_forecast", "epsilon", "trend"):
         arrays[f"model.{name}"] = getattr(model, name)
