@@ -112,21 +112,28 @@ def _parse_values(raw: str, what: str, minimum: int) -> range | list[int]:
     return values
 
 
-def _write(*outputs) -> list[Path]:
-    """Write every ``(path, write)`` output of a command, or none of them.
-
-    Relative paths start from TSARF_OUTDIR when it is set, and missing
-    directories are created. A new or regular file is written to a temporary
-    sibling that replaces it once every write has succeeded; a link, device
-    or directory is written in place. An output that cannot be created or
-    written is a usage error, and so are two outputs that name one file.
-    """
+def _output_paths(*paths: str) -> list[Path]:
+    """The paths of a command's outputs, relative ones from TSARF_OUTDIR when
+    it is set; two that name one file are a usage error."""
     # an absolute path replaces the base
-    paths = [Path(os.environ.get("TSARF_OUTDIR", ""), path) for path, _ in outputs]
+    paths = [Path(os.environ.get("TSARF_OUTDIR", ""), path) for path in paths]
     targets = [os.path.realpath(path) for path in paths]
     for index, target in enumerate(targets):
         if target in targets[:index]:
             raise UsageError(f"two outputs name one file: {paths[index]}")
+    return paths
+
+
+def _write(*outputs) -> list[Path]:
+    """Write every ``(path, write)`` output of a command, or none of them.
+
+    Paths are taken as ``_output_paths`` gives them, and missing directories
+    are created. A new or regular file is written to a temporary sibling that
+    replaces it once every write has succeeded; a link, device or directory
+    is written in place. An output that cannot be created or written is a
+    usage error.
+    """
+    paths = _output_paths(*(path for path, _ in outputs))
     replacements: list[tuple[Path, Path]] = []
     try:
         for path, (_, write) in zip(paths, outputs):
@@ -199,6 +206,8 @@ def _run_models(
 def _run_and_report(args, models: list[str], curves: str | None = None) -> list[dict]:
     """Read, split and run the models of ``compare`` or ``fit``, then write the
     run report and, when ``curves`` is given, the curves table there."""
+    # two outputs that name one file are refused before any model is fitted
+    _output_paths(args.output, *([] if curves is None else [curves]))
     curve, meta = _read(args.input)
     k = _parse_auto_int(args.window_size, "window size", 3)
     parts = split(curve, args.test_len, test_fraction=args.test_fraction, k=k)

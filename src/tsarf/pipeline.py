@@ -10,6 +10,10 @@ window. The result is the "predicted line" for the next, unseen window.
 Windows are non-overlapping blocks of exactly k points aligned to the end of
 training; when k does not divide the training length the oldest points are
 dropped, so the final window always ends at the training boundary.
+
+Every stage measures time from one origin, the first training time. For
+epoch-second times the shift is exact (Sterbenz's lemma), and the lines it
+gives do not carry the offset's rounding.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ class CoefficientHistory:
 
 @dataclass(frozen=True)
 class TsarfModel:
-    """Predicted-line coefficients plus every stage's intermediates."""
+    """Predicted-line coefficients plus every stage's intermediates. Every
+    line, the window fits included, is over time measured from ``origin``."""
 
     coefficients: np.ndarray  # final (intercept, slope) after all stages
     raw_forecast: np.ndarray
@@ -59,10 +64,11 @@ class TsarfModel:
     d_auto: bool
     d_fallback: bool
     ma_candidates: tuple[tuple[int, float], ...]
+    origin: float  # the first training time
 
 
 def fit_windows(train: GrowthCurve, k: int) -> CoefficientHistory:
-    """Fit a line (raw time -> cumulative count) to every window in one call.
+    """Fit a line (time -> cumulative count) to every window in one call.
 
     The windows are non-overlapping blocks of exactly k points, aligned to the
     training end: the first train.n % k points are dropped so the last window
@@ -175,7 +181,7 @@ def select_ma_length(
 @np.errstate(over="ignore", invalid="ignore")
 def predicted_line(model: TsarfModel, times) -> np.ndarray:
     """Evaluate the predicted line at the requested times; a value past float64 reads inf."""
-    times = np.asarray(times, dtype=float)
+    times = np.asarray(times, dtype=float) - model.origin
     return model.coefficients[0] + model.coefficients[1] * times
 
 
@@ -184,7 +190,7 @@ def window_fitted_values(model: TsarfModel, train: GrowthCurve) -> np.ndarray:
     """Per-window fitted line evaluated over training; NaN for dropped points."""
     history = model.history
     fitted = np.full(train.n, np.nan)
-    t = train.times[history.n_dropped:].reshape(history.W, history.k)
+    t = (train.times[history.n_dropped:] - model.origin).reshape(history.W, history.k)
     fitted[history.n_dropped:] = (history.matrix[:, :1] + history.matrix[:, 1:] * t).ravel()
     return fitted
 
@@ -197,8 +203,11 @@ def tsarf_forecast(train: GrowthCurve, k: int | None = None, d: int | None = Non
     ``None`` picks k = max(3, train.n // 10) and the d with the least holdout
     MSE. ``fit_windows`` rejects k < 3 and ``apply_moving_average`` a d
     outside 1..W-1. A holdout MSE past float64 is inf, and a predicted line
-    past float64 raises DataError.
+    past float64, over raw time or over time from the origin, raises
+    DataError.
     """
+    origin = float(train.times[0])
+    train = GrowthCurve(train.times - origin, train.counts)
     history = fit_windows(train, auto_window_size(train.n) if k is None else k)
     d_auto = d is None
     if d_auto:
@@ -209,8 +218,10 @@ def tsarf_forecast(train: GrowthCurve, k: int | None = None, d: int | None = Non
     trend, raw = forecast_coefficients(history.matrix)
     corrected, epsilon = error_correct(raw, trend, history.matrix)
     final = apply_moving_average(corrected, history.matrix, d)
-    if not np.isfinite(final).all():
-        raise DataError(f"the predicted line {final.tolist()} overflows float64")
+    # the report gives the line over raw time
+    raw_time = np.array([final[0] - origin * final[1], final[1]])
+    if not np.isfinite([*final, *raw_time]).all():
+        raise DataError(f"the predicted line {raw_time.tolist()} overflows float64")
     return TsarfModel(
         coefficients=final,
         raw_forecast=raw,
@@ -222,4 +233,5 @@ def tsarf_forecast(train: GrowthCurve, k: int | None = None, d: int | None = Non
         d_auto=d_auto,
         d_fallback=fallback,
         ma_candidates=candidates,
+        origin=origin,
     )

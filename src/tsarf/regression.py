@@ -1,30 +1,31 @@
 """Least-squares line kernel shared by every forecasting stage.
 
 Every regression in TSARF fits a line y = b0 + b1·x, so the kernel fits a
-stack of predictors against a stack of responses of the same shape. With
-the design [1, x], X'X = [[n, Σx], [Σx, Σx²]] and X'y = [Σy, Σxy], so four
-``np.add.reduce`` sums over the last axis of C-ordered copies give the
-normal equations. The closed-form Cholesky factor is l11 = √n,
-l21 = Σx (1/l11) and l22 = sqrt(Σx² - l21 l21), LAPACK's expressions, and
-the two triangular solves use the same reciprocal pivots. No step calls
-BLAS, so a fit's bits follow neither OpenBLAS's kernel nor the memory
-layout of the arrays passed in.
+stack of predictors against a stack of responses of the same shape, centred
+on the means x̄ and ȳ of each system: b1 = Σ(x - x̄)(y - ȳ) / Sxx and
+b0 = ȳ - b1·x̄. Sxx is Chan, Golub & LeVeque's corrected two-pass sum
+Σ(x - x̄)² - (Σ(x - x̄))²/n (Amer. Statistician 37(3), 1983). Centring takes
+the offset of the times out of every sum, so a window far from t = 0 keeps
+its digits, and the second term of Sxx takes out the rounding of x̄. Every
+sum is an ``np.add.reduce`` over the last axis of a C-ordered array and no
+step calls BLAS, so a fit's bits follow neither OpenBLAS's kernel nor the
+memory layout of the arrays passed in.
 
 A system fails when its sums or coefficients are not finite (overflow) or
-when l22² is not above SINGULARITY_RTOL·Σx² (singular), a rule that does
-not depend on the scale of the time axis. Both are per-system masks, so the
-first failing system of a stack is found without refactoring anything.
+when Sxx is not above SINGULARITY_RTOL·Σ(x - x̄)² (singular). By
+Cauchy-Schwarz that happens only when the times are equal up to the rounding
+of x̄, and the rule depends on neither the scale nor the offset of the
+times. Both are per-system masks, so the first failing system of a stack is
+found without refitting anything.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .errors import RankDeficiencyError, UsageError
 
-#: Relative pivot threshold below which the normal equations count as singular.
+#: Least share of Σ(x - x̄)² that Sxx must keep for a system to count as regular.
 SINGULARITY_RTOL = 1e-12
 
 
@@ -45,13 +46,11 @@ def ols_fit(x, y) -> np.ndarray:
 
     x is one ``(n,)`` predictor or a ``(W, k)`` stack of W, and y the
     response of the same shape. The result is (2,) or (W, 2). Each system of
-    a stack gets bitwise the coefficients it would get on its own, and the
-    factor equals LAPACK's Cholesky factor of X'X bit for bit.
+    a stack gets bitwise the coefficients it would get on its own.
 
     Raises RankDeficiencyError when the sums or the coefficients overflow, or
-    when the second pivot, squared, is not above SINGULARITY_RTOL·Σx² (a pivot
-    that is not a real number counts as singular). Its ``index`` is the first
-    failing system (0 for a single predictor) and its message is that
+    when the times of a system are equal up to rounding. Its ``index`` is the
+    first failing system (0 for a single predictor) and its message is that
     system's own.
     """
     x = np.asarray(x, dtype=float, order="C")
@@ -66,18 +65,17 @@ def ols_fit(x, y) -> np.ndarray:
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise UsageError("predictor and response must be finite")
 
-    inv11 = 1.0 / math.sqrt(n_obs)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sums = [np.add.reduce(a, axis=-1) for a in (x, x * x, y, x * y)]
-        sx, sxx, sy, sxy = sums
-        l21 = sx * inv11
-        l22 = np.sqrt(sxx - l21 * l21)
-        singular = ~(l22 * l22 > SINGULARITY_RTOL * sxx)
-        inv22 = 1.0 / l22
-        z1 = sy * inv11
-        b1 = (sxy - l21 * z1) * inv22 * inv22
-        b0 = (z1 - l21 * b1) * inv11
-        beta = np.stack([b0, b1], axis=-1)
+        x_mean = np.add.reduce(x, axis=-1) / n_obs
+        y_mean = np.add.reduce(y, axis=-1) / n_obs
+        dx = x - x_mean[..., None]
+        # an overflowing mean or product leaves one of these sums inf or nan
+        sums = [np.add.reduce(a, axis=-1) for a in (dx, dx * dx, dx * (y - y_mean[..., None]))]
+        sdx, sxx, sxy = sums
+        sxx_corrected = sxx - sdx * sdx / n_obs
+        singular = ~(sxx_corrected > SINGULARITY_RTOL * sxx)
+        b1 = sxy / sxx_corrected
+        beta = np.stack([y_mean - b1 * x_mean, b1], axis=-1)
         # a singular system's coefficients mean nothing; a regular one's may overflow
         overflow = ~(np.isfinite(sums).all(axis=0) & (singular | np.isfinite(beta).all(axis=-1)))
     failed = overflow | singular

@@ -33,7 +33,9 @@ def order_models(models: list[str] | tuple[str, ...]) -> list[str]:
 
 
 def tsarf_entry(model: TsarfModel) -> dict:
-    """Report fields of a fitted TSARF model."""
+    """Report fields of a fitted TSARF model: the predicted line over raw
+    time, and the stages' lines over time from the first training time."""
+    b0, b1 = model.coefficients.tolist()
     return {
         "k": model.history.k,
         "d": model.d_used,
@@ -41,7 +43,7 @@ def tsarf_entry(model: TsarfModel) -> dict:
         "d_fallback": model.d_fallback,
         "windows": model.history.W,
         "points_dropped": model.history.n_dropped,
-        "coefficients": model.coefficients.tolist(),
+        "coefficients": [b0 - model.origin * b1, b1],
         "raw_forecast": model.raw_forecast.tolist(),
         "corrected_forecast": model.corrected_forecast.tolist(),
         "epsilon": model.epsilon.tolist(),

@@ -535,6 +535,19 @@ def test_outputs_naming_one_file_are_a_usage_error(tmp_path, line_file, curves):
     assert sorted(path.name for path in (tmp_path / "same").iterdir()) == ["link"]
 
 
+def test_outputs_naming_one_file_are_refused_before_any_fit(tmp_path, go_file, capsys, monkeypatch):
+    """The shared path is found before the input is read or a model fitted."""
+    def fail(*args, **kwargs):
+        raise AssertionError("read or fitted before the outputs were checked")
+
+    for name in ("read_curve_file", "tsarf_forecast", "fit_srgm"):
+        monkeypatch.setattr(f"tsarf.cli.{name}", fail)
+    out = str(tmp_path / "x")
+    assert main(["compare", str(go_file), "--output", out, "--curves", out]) == 1
+    assert capsys.readouterr().err == f"usage error: two outputs name one file: {out}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_compare_reads_csv_curves(tmp_path, capsys):
     t = np.arange(1.0, 41.0)
     counts = 2.0 + 3.0 * t

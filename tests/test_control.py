@@ -4,8 +4,10 @@
 recorded it, kept unedited as its control. On noisy growth curves, exact
 lines and tied times at any time scale the forecast must pick the same window
 size, the same moving-average length up to rounding ties, and the same test
-PMSE within the benchmark's tolerance, or fail as the control does;
-each SRGM fit must fail as the control's does, or reach an SSE no higher.
+PMSE within the benchmark's tolerance, or fail as the control does. Where the
+times carry an offset the control is the side in error, and the forecast is
+held to exact arithmetic (``exact_tsarf``) instead. Each SRGM fit must fail as
+the control's does, or reach an SSE no higher.
 """
 
 import sys
@@ -13,11 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 import tsarf
 from conftest import make_changepoint_curve
+from exact_tsarf import exact_tsarf
 from tsarf import GrowthCurve, pmse, predicted_line, split, tsarf_forecast
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench" / "control"))
@@ -25,6 +28,8 @@ control = pytest.importorskip("tsarf_control")
 
 #: The benchmark's relative tolerance on TSARF PMSE (perfbench/workloads.py).
 PMSE_RTOL = 1e-3
+#: Relative tolerance on TSARF PMSE against exact arithmetic.
+EXACT_PMSE_RTOL = 1e-8
 #: The benchmark's relative tolerance on SRGM training SSE (perfbench/workloads.py).
 SSE_RTOL = 1e-9
 #: select_ma_length's tie tolerance on holdout RMSEs, per unit of max|y_hold|.
@@ -104,51 +109,65 @@ def _forecast_or_error(package, train: GrowthCurve, k: int | None, d: int | None
         return type(exc).__name__
 
 
-#: On an exact line every holdout RMSE is rounding noise, which grows with
-#: the number of windows while the tie tolerance does not; from this many
-#: windows on, d is not compared (ROADMAP item 4, CHANGES FOUND).
-LONG_HISTORY = 50
+def assert_matches_exact(model, parts, k: int | None, shape: str) -> None:
+    """The program's outcome against the 90-digit oracle: the same failure,
+    or a d whose holdout RMSE is within the tie tolerance of the exact least
+    and a test PMSE within EXACT_PMSE_RTOL of exact at that d."""
+    train, test = parts.train, parts.test
+    args = (train.times, train.counts, test.times, test.counts, tsarf.auto_window_size(train.n) if k is None else k)
+    exact = exact_tsarf(*args)
+    if isinstance(model, str) or exact is None:
+        assert (model, exact) == ("DegenerateWindowError", None)
+        return
+    _, mses, _ = exact
+    if mses:
+        tolerance = TIE * np.abs(train.counts[-model.history.k:]).max()
+        assert float(mses[model.d_used].sqrt()) <= float(min(mses.values()).sqrt()) + tolerance
+    _, _, want = exact_tsarf(*args, d=model.d_used)
+    got = pmse(predicted_line(model, test.times), test.counts)
+    if not (shape == "line" and max(got, want) <= 1e-9):
+        assert got == pytest.approx(float(want), rel=EXACT_PMSE_RTOL)
 
 
 # The program runs on the curve at time scale 10^log_scale, and the control on
 # the curve in its own unit, where its pivot test holds: that test compares
 # against the largest diagonal of X'X and so rejects windows at time scales
 # far from 1 (CHANGES, MENDED), while a TSARF forecast does not depend on the
-# time unit. An offset curve, whose uncentred window fits do make the forecast
-# depend on the unit (ROADMAP item 4, CHANGES FOUND), stays in its own unit.
-# Offsets are in units of the mean gap; those >= 1e8 make the program's own
-# window fits degenerate (item 4) and are not drawn.
+# time unit. Offsets are in units of the mean gap, up to 2e9: epoch seconds.
+# The control's uncentred window fits lose digits to an offset (a changepoint
+# curve, n = 30, at 10^5.5 gaps gives a PMSE 1.4e-3 from exact) and reject
+# windows from 1e8 gaps on, so an offset curve is checked against the exact
+# oracle instead.
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     shape=st.sampled_from(["line", "ties", "go", "dss", "weibull", "changepoint"]),
     n=st.integers(30, 400),
     k=st.none() | st.integers(3, 10),
     log_scale=st.floats(-6, 6),
-    offset=st.just(0.0) | st.floats(0, 8, exclude_max=True).map(lambda e: 10.0**e),
+    offset=st.just(0.0) | st.floats(0, np.log10(2e9)).map(lambda e: 10.0**e),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(shape="changepoint", n=30, k=None, log_scale=0.0, offset=10.0**5.5, seed=0)
 def test_tsarf_forecast_matches_control_on_lines_ties_and_scales(shape, n, k, log_scale, offset, seed):
     times = drawn_times(shape, n, np.random.default_rng(seed)) + offset
     counts = np.arange(1.0, n + 1)
-    parts = split(GrowthCurve(times * (1.0 if offset else 10.0**log_scale), counts), k=k)
-    unit = split(GrowthCurve(times, counts), k=k)
+    parts = split(GrowthCurve(times * 10.0**log_scale, counts), k=k)
     model = _forecast_or_error(tsarf, parts.train, k)
+    if offset:
+        assert_matches_exact(model, parts, k, shape)
+        return
+    unit = split(GrowthCurve(times, counts), k=k)
     ref = _forecast_or_error(control, unit.train, k)
-    if ref == "DegenerateWindowError" and offset and not isinstance(model, str):
-        return  # the control's pivot test also rejects windows far from t = 0 (CHANGES, MENDED)
     if isinstance(model, str) or isinstance(ref, str):
         assert model == ref
         return
     assert model.history.k == ref.k_used
-    if shape == "line" and offset:
-        return  # uncentred window fits leave rounding noise that decides d and PMSE (ROADMAP item 4)
 
     d = model.d_used
     if d != ref.d_used:
-        if not (shape == "line" and model.history.W >= LONG_HISTORY):
-            rmse = {length: np.sqrt(mse) for length, mse in model.ma_candidates}
-            tolerance = TIE * np.abs(parts.train.counts[-model.history.k:]).max()
-            assert abs(rmse[d] - rmse[ref.d_used]) <= tolerance
+        rmse = {length: np.sqrt(mse) for length, mse in model.ma_candidates}
+        tolerance = TIE * np.abs(parts.train.counts[-model.history.k:]).max()
+        assert abs(rmse[d] - rmse[ref.d_used]) <= tolerance
         ref = _forecast_or_error(control, unit.train, k, d)
 
     got = pmse(predicted_line(model, parts.test.times), parts.test.counts)

@@ -246,9 +246,12 @@ class TestSelectMaLength:
         times = scale * np.arange(n) / 2
         return GrowthCurve(times + offset * times[-1], base + np.arange(1.0, n + 1))
 
-    @pytest.mark.parametrize("n,k", [(40, 3), (100, 10)])
-    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 0.5, 37.0, 3600.0, 1e6])
-    @pytest.mark.parametrize("offset", [0.0, 0.25])
+    # (300, 3) at scale 37 (times 37·i/2, 100 windows) and (40, 3) at scale 1
+    # with offset 1000/19.5 spans (times 1000 + i/2) picked d = 9 and d = 2
+    # with uncentred window fits
+    @pytest.mark.parametrize("n,k", [(40, 3), (100, 10), (300, 3)])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 0.5, 1.0, 37.0, 3600.0, 1e6])
+    @pytest.mark.parametrize("offset", [0.0, 0.25, 1000 / 19.5])
     def test_exact_line_ties_to_one(self, n, k, scale, offset):
         """Every holdout MSE of an exact line is rounding noise, so every d ties."""
         curve = self.exact_line(n, scale, offset)
@@ -301,6 +304,15 @@ class TestForecastEndToEnd:
                 pred = predicted_line(model, parts.test.times)
                 assert pmse(pred, parts.test.counts) < 1e-9
 
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8, 1.7e9])
+    def test_exact_line_forecasts_at_epoch_offsets(self, offset):
+        """Unit-spaced times from an epoch-second offset: uncentred window
+        fits raised DegenerateWindowError from 1e8 on."""
+        times = offset + np.arange(100.0)
+        parts = split(GrowthCurve(times, np.arange(1.0, 101.0)), 10)
+        model = tsarf_forecast(parts.train)
+        assert pmse(predicted_line(model, parts.test.times), parts.test.counts) <= 1e-9
+
     def test_deterministic(self):
         curve = make_changepoint_curve(np.random.default_rng(5))
         a = tsarf_forecast(curve)
@@ -346,11 +358,11 @@ class TestForecastEndToEnd:
     def test_window_fitted_values_equal_per_window_loop_bitwise(self, n, k):
         curve = make_changepoint_curve(np.random.default_rng(n), n=n)
         model = tsarf_forecast(curve, k=k, d=1)
-        # the per-window loop the reshape replaced
+        # the per-window loop the reshape replaced; the lines are over time from the origin
         expected = np.full(n, np.nan)
         for w, (b0, b1) in enumerate(model.history.matrix):
             start = model.history.n_dropped + w * k
-            expected[start:start + k] = b0 + b1 * curve.times[start:start + k]
+            expected[start:start + k] = b0 + b1 * (curve.times[start:start + k] - model.origin)
         assert model.history.n_dropped == n % k
         assert window_fitted_values(model, curve).tobytes() == expected.tobytes()
 

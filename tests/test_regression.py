@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,19 @@ from hypothesis import strategies as st
 
 import tsarf
 from conftest import make_changepoint_curve
-from tsarf import RankDeficiencyError, UsageError, design_matrix, forecast_coefficients, ols_fit, tsarf_forecast
+from exact_tsarf import DIGITS, exact_line, exact_tsarf
+from tsarf import (
+    GrowthCurve,
+    RankDeficiencyError,
+    UsageError,
+    design_matrix,
+    forecast_coefficients,
+    ols_fit,
+    pmse,
+    predicted_line,
+    split,
+    tsarf_forecast,
+)
 from tsarf.regression import SINGULARITY_RTOL
 
 TOLERANCE_MESSAGE = f"normal equations singular to tolerance {SINGULARITY_RTOL:g}"
@@ -228,73 +241,79 @@ def test_fit_does_not_depend_on_memory_layout(k, n_windows, offset, scale, seed)
         assert_same_outcome(stacked_outcome(predictor, response), loop)
 
 
-def _cholesky_factor(gram, rhs):
-    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
-        raise RankDeficiencyError("normal equations overflow")
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise RankDeficiencyError("normal equations are singular") from None
-    pivots = np.diagonal(chol, axis1=-2, axis2=-1)
-    if np.any(pivots**2 <= SINGULARITY_RTOL * np.diagonal(gram, axis1=-2, axis2=-1)):
-        raise RankDeficiencyError(TOLERANCE_MESSAGE)
-    return chol
+#: Bound on a line fit's error against the exact fit, relative to each
+#: coefficient's scale (see test_fit_matches_exact_line_on_offset_stacks).
+EXACT_RTOL = 1e-12
 
 
-def cholesky_oracle(x, y):
-    """The LAPACK solve the closed-form factor replaced: one batched
-    ``np.linalg.cholesky``, then one system at a time to name the first that
-    fails. Returns the coefficients, or (index, message) of the first failure.
-    The Gram matrix and right-hand side come from numpy sums over the explicit
-    design [1, x], not a matmul, whose bits would follow OpenBLAS's kernel."""
-    stacked = x.ndim == 2
-    X = design_matrix(x if stacked else x[None])
-    if not stacked:
-        y = y[None]
-    # the five sums of the design form, each reduced over the observation axis
-    x0, x1 = X[..., 0], X[..., 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        s00, s01, s11, r0, r1 = (
-            np.add.reduce(a * b, axis=-1) for a, b in [(x0, x0), (x0, x1), (x1, x1), (x0, y), (x1, y)]
-        )
-        gram = np.stack([np.stack([s00, s01], -1), np.stack([s01, s11], -1)], -2)
-        rhs = np.stack([r0, r1], -1)
-    try:
-        chol = _cholesky_factor(gram, rhs)
-    except RankDeficiencyError:
-        for i in range(len(gram)):
-            try:
-                _cholesky_factor(gram[i : i + 1], rhs[i : i + 1])
-            except RankDeficiencyError as exc:
-                return i, str(exc)
-        raise
-    inv11, inv22, l21 = 1.0 / chol[:, 0, 0], 1.0 / chol[:, 1, 1], chol[:, 1, 0]
-    z1 = rhs[:, 0] * inv11
-    x2 = (rhs[:, 1] - l21 * z1) * inv22 * inv22
-    beta = np.stack([(z1 - l21 * x2) * inv11, x2], axis=1)
-    return beta if stacked else beta[0]
+def exact_outcome(x, y):
+    """(index, message) of the first window whose times are all equal, as
+    ``stacked_outcome`` gives it; else the exact fit of every window stacked
+    on its scales: ``|ȳ| + sqrt(Syy/Sxx)·|x̄|`` for the intercept and
+    ``sqrt(Syy/Sxx)`` for the slope."""
+    lines, scales = [], []
+    with localcontext() as context:
+        context.prec = DIGITS
+        for w, (xw, yw) in enumerate(zip(np.atleast_2d(x), np.atleast_2d(y))):
+            xw, yw = [Decimal(float(v)) for v in xw], [Decimal(float(v)) for v in yw]
+            line = exact_line(xw, yw)
+            if line is None:
+                return w, TOLERANCE_MESSAGE
+            x_mean, y_mean = sum(xw) / len(xw), sum(yw) / len(yw)
+            slope_scale = (sum((b - y_mean) ** 2 for b in yw) / sum((a - x_mean) ** 2 for a in xw)).sqrt()
+            lines.append([float(c) for c in line])
+            scales.append([float(abs(y_mean) + slope_scale * abs(x_mean)), float(slope_scale)])
+    return np.array([lines, scales]).reshape((2, *np.shape(x)[:-1], 2))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     k=st.integers(2, 200),
     n_windows=st.integers(1, 30),
-    one_design=st.booleans(),
+    one_window=st.booleans(),
     offset=st.sampled_from([0.0, 1e3, 1e6, 1e9, 1.7e9]) | st.floats(0, 1.7e9),
     scale=st.floats(-8, 6).map(lambda e: 10.0**e),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_closed_form_factor_equals_cholesky_oracle_bitwise(k, n_windows, one_design, offset, scale, seed):
+def test_fit_matches_exact_line_on_offset_stacks(k, n_windows, one_window, offset, scale, seed):
+    """Against the 90-digit fit of the same float times, each slope is within
+    EXACT_RTOL of sqrt(Syy/Sxx), which bounds it, and each intercept within
+    EXACT_RTOL of |ȳ| + sqrt(Syy/Sxx)·|x̄|, which bounds its two terms. A
+    window whose times are all equal is singular on both sides. At offset
+    1.7e9 and scale 1e-8 the times are quantised to a few ulps."""
     x, y = window_stack(k, n_windows, offset, scale, seed)
-    if one_design:
+    if one_window:
         x, y = x[0], y[0]
-    oracle = cholesky_oracle(x, y)
-    if isinstance(oracle, tuple):
-        index, message = oracle
-        # LAPACK stops at a pivot that is not positive; the closed form
-        # counts it as singular to tolerance
-        oracle = index, TOLERANCE_MESSAGE if message == "normal equations are singular" else message
-    assert_same_outcome(stacked_outcome(x, y), oracle)
+    got, exact = stacked_outcome(x, y), exact_outcome(x, y)
+    if isinstance(exact, tuple):
+        assert isinstance(got, tuple) and got == exact, got
+    else:
+        want, scales = exact
+        assert isinstance(got, np.ndarray) and got.shape == want.shape, got
+        assert np.all(np.abs(got - want) <= EXACT_RTOL * scales)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(30, 400),
+    offset=st.sampled_from([0.0, 1e6, 1.7e9]) | st.floats(0, 2e9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tsarf_pmse_matches_exact_arithmetic(n, offset, seed):
+    """On changepoint curves at k = 3, where uncentred window fits were up to
+    1e-3 off at 10^4 points, the test PMSE is within 1e-8 of exact, at the d
+    the program picks; that d scores within the tie tolerance of the exact
+    least holdout MSE."""
+    curve = make_changepoint_curve(np.random.default_rng(seed), n)
+    parts = split(GrowthCurve(curve.times + offset, curve.counts), k=3)
+    model = tsarf_forecast(parts.train, k=3)
+    got = pmse(predicted_line(model, parts.test.times), parts.test.counts)
+    args = (parts.train.times, parts.train.counts, parts.test.times, parts.test.counts, 3)
+    _, mses, _ = exact_tsarf(*args)
+    _, _, want = exact_tsarf(*args, d=model.d_used)
+    tolerance = 1000 * np.finfo(float).eps * np.abs(parts.train.counts[-3:]).max()
+    assert float(mses[model.d_used].sqrt()) <= float(min(mses.values()).sqrt()) + tolerance
+    assert got == pytest.approx(float(want), rel=1e-8)
 
 
 @pytest.mark.parametrize(
