@@ -21,8 +21,14 @@ import numpy as np
 
 from .errors import DataError, UsageError
 
-#: Lines parsed at a time, which bounds the strings held at once.
+#: Lines :func:`load_failure_times` parses at a time, which bounds the strings
+#: held at once. :func:`read_curve_file` calls it only for a file that numpy's
+#: C reader turns down, so this bounds the fallback only.
 _BLOCK_LINES = 8192
+
+#: Suffixes that numpy's path opener decompresses; a file named so is left to
+#: :func:`load_failure_times`, which reads every file as text.
+_NUMPY_DECOMPRESSES = (".bz2", ".gz", ".lzma", ".xz")
 
 
 @dataclass(frozen=True)
@@ -100,13 +106,17 @@ def load_failure_times(source: TextIO | Iterable[str]) -> tuple[GrowthCurve, boo
             arr = _checked_times(lines, lines_before)
         lines_before += len(lines)
         blocks.append(arr)
-    arr = np.concatenate(blocks) if blocks else np.empty(0)
-    if not arr.size:
+    return _times_curve(np.concatenate(blocks) if blocks else np.empty(0))
+
+
+def _times_curve(times: np.ndarray) -> tuple[GrowthCurve, bool]:
+    """The growth curve of parsed failure times, and whether they had to be sorted."""
+    if not times.size:
         raise DataError("no failure times in input")
-    required_sorting = bool(np.any(np.diff(arr) < 0))
+    required_sorting = bool(np.any(np.diff(times) < 0))
     if required_sorting:
-        arr = np.sort(arr)
-    return GrowthCurve(arr, np.arange(1, arr.size + 1, dtype=float)), required_sorting
+        times = np.sort(times)
+    return GrowthCurve(times, np.arange(1, times.size + 1, dtype=float)), required_sorting
 
 
 def _checked_times(lines: list[str], lines_before: int) -> np.ndarray:
@@ -171,24 +181,60 @@ def load_growth_curve_csv(source: TextIO | Iterable[str]) -> GrowthCurve:
     return GrowthCurve(np.asarray(times), np.asarray(counts))
 
 
+def _c_read_times(path: Path, skip: int) -> np.ndarray | None:
+    """The failure times of a format-A file, read by numpy's C text reader.
+
+    ``skip`` counts the comment and blank lines before the first data line.
+    numpy parses each field with ``PyOS_string_to_double`` on its ASCII text,
+    as ``float()`` does, but accepts less: no underscores, non-ASCII digits,
+    NUL bytes or comments. So a file it reads whole, as one column of finite
+    times >= 0, holds the times :func:`load_failure_times` would return.
+    Any other file gives None and is left to that reader, which names the
+    first bad line.
+    """
+    if path.suffix in _NUMPY_DECOMPRESSES:
+        return None
+    try:
+        # comments=None keeps "2.0 # note" an error, and ndmin=2 keeps a
+        # one-line "1.5 2.5" two columns rather than two times
+        times = np.loadtxt(path, comments=None, skiprows=skip, ndmin=2, encoding="utf-8-sig")
+    except ValueError:  # UnicodeDecodeError is one
+        return None
+    # nan fails both comparisons
+    if times.shape[1] != 1 or not np.all((times >= 0) & (times < np.inf)):
+        return None
+    return times.ravel()
+
+
 def read_curve_file(path: str | Path) -> tuple[GrowthCurve, dict]:
     """Load a dataset file in either format, sniffing by header.
 
-    Returns the curve plus a provenance dict (path, format, n, sort flag)
-    suitable for embedding in run reports. The recorded path is the path's
-    file-system bytes read as UTF-8, so it does not depend on the locale.
+    A format-A file is read by numpy's C text reader, and by
+    :func:`load_failure_times` when that reader turns it down, with the same
+    times and messages either way. Returns the curve plus a provenance dict
+    (path, format, n, sort flag) suitable for embedding in run reports. The
+    recorded path is the path's file-system bytes read as UTF-8, so it does
+    not depend on the locale.
     """
     path = Path(path)
     try:
         # utf-8-sig drops the byte-order mark that "CSV UTF-8" exports begin with
         with path.open(encoding="utf-8-sig") as handle:
             # only the lines up to the first data line are read to sniff it
-            first = next((s for line in handle if (s := line.strip()) and s[0] != "#"), "")
+            skip, first = 0, ""
+            for line in handle:
+                if (s := line.strip()) and s[0] != "#":
+                    first = s
+                    break
+                skip += 1
             handle.seek(0)
             if first.lower().replace(" ", "").startswith("time,count"):
                 curve, fmt, required_sorting = load_growth_curve_csv(handle), "curve", False
             else:
-                (curve, required_sorting), fmt = load_failure_times(handle), "times"
+                # numpy warns on a file with no data line; the per-line reader reports it
+                times = _c_read_times(path, skip) if first else None
+                curve, required_sorting = load_failure_times(handle) if times is None else _times_curve(times)
+                fmt = "times"
     except (OSError, UnicodeDecodeError) as exc:
         # strerror, as str(exc) repeats the path as a repr, which escapes undecodable bytes
         raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None

@@ -1,11 +1,13 @@
+import codecs
 import io
 import logging
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from numpy.lib import _datasource
 
 from tsarf import (
     DataError,
@@ -18,6 +20,7 @@ from tsarf import (
     split,
 )
 from tsarf import dataset
+from tsarf.report import write_failure_times
 
 finite_times = st.lists(
     st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -432,3 +435,154 @@ def test_load_after_leading_comment_lines(block_lines, header, body):
     else:
         assert np.array_equal(got[0].times, expected[0])
         assert got[1] == expected[1]
+
+
+def _read_file_outcome(path):
+    """``read_curve_file``'s times and sort flag, or its error message."""
+    try:
+        curve, meta = read_curve_file(path)
+    except DataError as exc:
+        return str(exc)
+    assert meta["format"] == "times"
+    assert np.array_equal(curve.counts, np.arange(1.0, curve.n + 1))
+    return curve.times, meta["required_sorting"]
+
+
+def _per_line_file_outcome(path):
+    """``load_failure_times`` on the same file, with a decode error worded as ``read_curve_file`` words it."""
+    try:
+        with path.open(encoding="utf-8-sig") as handle:
+            curve, required_sorting = load_failure_times(handle)
+    except UnicodeDecodeError as exc:
+        return f"cannot read {path}: {exc}"
+    except DataError as exc:
+        return str(exc)
+    return curve.times, required_sorting
+
+
+#: Characters ``str.strip`` removes that pad a numeral or fill a blank line.
+FILE_PADDING = ["", " ", "\t", "\x0c", "\x1f", "\xa0"]
+
+#: Times that both readers accept, as numpy's C reader and ``float()`` both parse them.
+good_numerals = st.one_of(
+    st.floats(min_value=0, max_value=1e6).map(lambda t: format(t, ".10g")),
+    st.floats(min_value=0, allow_infinity=False).map(repr),
+    st.sampled_from(["+1e3", "-0", "-0.0", "1.", ".5", "0e5", "1E-3", "+0"]),
+)
+
+#: Lines that send a file to the per-line reader, or that it skips.
+odd_lines = st.one_of(
+    st.sampled_from(
+        ["1e400", "-1e400", "nan", "-inf", "infinity", "-2", "-1e-300", "1_000", "\u0661\u0662", "1\x00",
+         "\x002", "0x10", "# note", "#", "  # indented", "2.0 # note", "1.5 2.5", "3 x", "1,2", "1\xa02", ""]
+    ),
+    st.sampled_from(FILE_PADDING[1:]),
+    st.floats().map(repr),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def format_a_files(draw):
+    """The bytes of a format-A file: header, body, line endings, BOM and a late decode error.
+
+    The body is padded good times with up to three odd lines put in, so that
+    both numpy's reader and the per-line reader get to decide.
+    """
+    header = draw(st.lists(st.sampled_from(["# simulated go failure times", "#", "", " \t", "  # a=1"]), max_size=3))
+    pad = st.sampled_from(FILE_PADDING)
+    body = draw(st.lists(st.tuples(pad, good_numerals, pad).map("".join), max_size=30))
+    for position, line in draw(st.lists(st.tuples(st.integers(0, 30), odd_lines), max_size=3)):
+        body.insert(position, line)
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ending.join(header + body)
+    data = (text + draw(st.sampled_from(["", ending]))).encode("utf-8")
+    if draw(st.booleans()):
+        data = codecs.BOM_UTF8 + data
+    if draw(st.booleans()):
+        # valid times past the first 8 KB, which the format sniff decodes, then a byte no UTF-8 has
+        data += (ending.join(["0.5"] * 2100) + ending).encode() + b"\xff" + ending.encode()
+    return data
+
+
+# a warning from numpy's reader, such as "input contained no data", would be a stray stderr line
+@pytest.mark.filterwarnings("error")
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(format_a_files())
+@example(b"1.5 2.5\n")
+@example(b"1.0\n2.0 # note\n")
+@example(b"# header\n\n-0\n0\n")
+@example(b"# only a header\n\n")
+def test_read_curve_file_matches_per_line_reader(tmp_path, data):
+    path = tmp_path / "times.txt"
+    path.write_bytes(data)
+    expected, got = _per_line_file_outcome(path), _read_file_outcome(path)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert not isinstance(got, str), got
+        # bitwise, so -0.0 stays -0.0
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1] == expected[1]
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("1.5 2.5\n", "line 1: non-numeric failure time '1.5 2.5'"),
+        ("1.5 2.5", "line 1: non-numeric failure time '1.5 2.5'"),
+        ("# log\n1.0\n2.0 # note\n3.0\n", "line 3: non-numeric failure time '2.0 # note'"),
+        ("1.0\n1_0 2\n", "line 2: non-numeric failure time '1_0 2'"),
+    ],
+)
+def test_read_curve_file_keeps_trailing_text_an_error(tmp_path, text, message):
+    path = tmp_path / "times.txt"
+    path.write_text(text)
+    with pytest.raises(DataError) as info:
+        read_curve_file(path)
+    assert str(info.value) == message
+
+
+def test_read_curve_file_reads_plain_times_without_the_per_line_reader(tmp_path, monkeypatch):
+    """A file shaped like ``simulate``'s output is read by numpy's C reader alone."""
+    monkeypatch.setattr(dataset, "load_failure_times", mock.Mock(side_effect=AssertionError))
+    path = tmp_path / "times.txt"
+    path.write_bytes(b"\xef\xbb\xbf# simulated\r\n# a=3\r\n\r\n0.5\r\n\t1.25 \r\n1e-07\r\n")
+    curve, meta = read_curve_file(path)
+    assert curve.times.tolist() == [1e-07, 0.5, 1.25]
+    assert meta["required_sorting"]
+
+
+@pytest.mark.parametrize("suffix", [*dataset._NUMPY_DECOMPRESSES, ".txt.gz", ".GZ"])
+def test_read_curve_file_reads_a_compressed_suffix_as_text(tmp_path, suffix):
+    """numpy's path opener decompresses by suffix; the file is still read as the text it holds."""
+    path = tmp_path / f"times{suffix}"
+    path.write_text("# log\n0.5\n1.5\n")
+    curve, meta = read_curve_file(path)
+    assert curve.times.tolist() == [0.5, 1.5]
+    assert meta["format"] == "times"
+
+
+def test_numpy_decompresses_only_known_suffixes():
+    assert set(_datasource._file_openers.keys()) - {None} <= set(dataset._NUMPY_DECOMPRESSES)
+
+
+exponent_times = st.one_of(
+    st.floats(min_value=0, max_value=1e6),
+    st.floats(min_value=0, max_value=1e-5),
+    st.floats(min_value=1e9, max_value=1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-6, 0.1 + 0.2, 1e10, 123456789012.0]),
+)
+
+
+@given(st.lists(exponent_times, min_size=1, max_size=300).map(sorted))
+@example([1e-7 * i for i in range(1, 11)])
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_written_times_read_back_as_printed(tmp_path, times):
+    """``simulate`` writes ``.10g`` text, and ``compare`` reads back exactly that text's values."""
+    path = tmp_path / "sim.txt"
+    write_failure_times(path, ["simulated go failure times", "a=300 b=1e9 horizon=1e-6"], np.array(times))
+    curve, meta = read_curve_file(path)
+    want = np.array([float(format(t, ".10g")) for t in times])
+    assert curve.times.tobytes() == want.tobytes()
+    assert not meta["required_sorting"]
