@@ -13,7 +13,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -21,13 +21,8 @@ import numpy as np
 
 from .errors import DataError, UsageError
 
-#: Lines :func:`load_failure_times` parses at a time, which bounds the strings
-#: held at once. :func:`read_curve_file` calls it only for a file that numpy's
-#: C reader turns down, so this bounds the fallback only.
-_BLOCK_LINES = 8192
-
 #: Suffixes that numpy's path opener decompresses; a file named so is left to
-#: :func:`load_failure_times`, which reads every file as text.
+#: the checked per-line pass, which reads every file as text.
 _NUMPY_DECOMPRESSES = (".bz2", ".gz", ".lzma", ".xz")
 
 
@@ -82,31 +77,26 @@ def load_failure_times(source: TextIO | Iterable[str]) -> tuple[GrowthCurve, boo
     lines starting with ``#`` are ignored. Unsorted input is sorted, and the
     returned flag says whether it had to be; negative, non-finite, or
     non-numeric entries are rejected with the number of the first offending
-    line.
+    line. The lines are held whole while numpy's C reader parses them.
     """
-    blocks = []
-    lines_before = 0
-    source = iter(source)
-    while lines := list(islice(source, _BLOCK_LINES)):
-        # leading comment and blank lines, such as a file's header, would
-        # otherwise send the whole block down the line-by-line path below
-        skip = 0
-        while skip < len(lines) and lines[skip].lstrip()[:1] in ("", "#"):
-            skip += 1
-        del lines[:skip]
-        lines_before += skip
-        try:
-            # float() pads a numeral only with whitespace that str.strip()
-            # removes, so a block that parses whole holds data lines only
-            arr = np.fromiter(map(float, lines), float, len(lines))
-        except ValueError:
-            arr = None
-        # nan fails both comparisons
-        if arr is None or not np.all((arr >= 0) & (arr < np.inf)):
-            arr = _checked_times(lines, lines_before)
-        lines_before += len(lines)
-        blocks.append(arr)
-    return _times_curve(np.concatenate(blocks) if blocks else np.empty(0))
+    lines = list(source)
+    skip, first = _header(lines)
+    # numpy warns on input with no data line; the checked pass reports it
+    times = _c_read_times(lines, skip) if first else None
+    return _times_curve(_checked_times(lines) if times is None else times)
+
+
+def _header(lines: Iterable[str]) -> tuple[int, str]:
+    """The number of comment and blank lines before the first data line, and that line ("" if none).
+
+    An iterator is read up to and including the first data line only.
+    """
+    skip = 0
+    for line in lines:
+        if (s := line.strip()) and s[0] != "#":
+            return skip, line
+        skip += 1
+    return skip, ""
 
 
 def _times_curve(times: np.ndarray) -> tuple[GrowthCurve, bool]:
@@ -119,10 +109,10 @@ def _times_curve(times: np.ndarray) -> tuple[GrowthCurve, bool]:
     return GrowthCurve(times, np.arange(1, times.size + 1, dtype=float)), required_sorting
 
 
-def _checked_times(lines: list[str], lines_before: int) -> np.ndarray:
-    """Parse a block that follows file line ``lines_before``, raising on its first bad line."""
+def _checked_times(lines: Iterable[str]) -> np.ndarray:
+    """The failure times of format-A lines, numbered from 1, raising on the first bad line."""
     values = []
-    for lineno, raw in enumerate(lines, start=lines_before + 1):
+    for lineno, raw in enumerate(lines, start=1):
         if not (text := raw.strip()) or text[0] == "#":
             continue
         try:
@@ -143,12 +133,8 @@ def load_growth_curve_csv(source: TextIO | Iterable[str]) -> GrowthCurve:
     Blank lines and lines starting with ``#`` before the header are skipped.
     """
     source = iter(source)
-    header_lineno = 1
-    for line in source:
-        if (s := line.strip()) and s[0] != "#":
-            break
-        header_lineno += 1
-    else:
+    skip, line = _header(source)
+    if not line:
         raise DataError("empty CSV input")
     reader = csv.reader(chain([line], source))
     header = next(reader)
@@ -157,7 +143,7 @@ def load_growth_curve_csv(source: TextIO | Iterable[str]) -> GrowthCurve:
     times: list[float] = []
     counts: list[float] = []
     for row in reader:
-        lineno = header_lineno - 1 + reader.line_num  # a quoted field may span lines
+        lineno = skip + reader.line_num  # a quoted field may span lines
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:
@@ -181,23 +167,23 @@ def load_growth_curve_csv(source: TextIO | Iterable[str]) -> GrowthCurve:
     return GrowthCurve(np.asarray(times), np.asarray(counts))
 
 
-def _c_read_times(path: Path, skip: int) -> np.ndarray | None:
-    """The failure times of a format-A file, read by numpy's C text reader.
+def _c_read_times(source: Path | list[str], skip: int) -> np.ndarray | None:
+    """The failure times of a format-A file or list of lines, read by numpy's C text reader.
 
     ``skip`` counts the comment and blank lines before the first data line.
     numpy parses each field with ``PyOS_string_to_double`` on its ASCII text,
     as ``float()`` does, but accepts less: no underscores, non-ASCII digits,
-    NUL bytes or comments. So a file it reads whole, as one column of finite
-    times >= 0, holds the times :func:`load_failure_times` would return.
-    Any other file gives None and is left to that reader, which names the
-    first bad line.
+    NUL bytes, comments or a line break inside a listed line. So input it
+    reads whole, as one column of finite times >= 0, holds the times
+    :func:`_checked_times` would return. Any other input gives None and is
+    left to that pass, which names the first bad line.
     """
-    if path.suffix in _NUMPY_DECOMPRESSES:
+    if isinstance(source, Path) and source.suffix in _NUMPY_DECOMPRESSES:
         return None
     try:
         # comments=None keeps "2.0 # note" an error, and ndmin=2 keeps a
         # one-line "1.5 2.5" two columns rather than two times
-        times = np.loadtxt(path, comments=None, skiprows=skip, ndmin=2, encoding="utf-8-sig")
+        times = np.loadtxt(source, comments=None, skiprows=skip, ndmin=2, encoding="utf-8-sig")
     except ValueError:  # UnicodeDecodeError is one
         return None
     # nan fails both comparisons
@@ -209,31 +195,26 @@ def _c_read_times(path: Path, skip: int) -> np.ndarray | None:
 def read_curve_file(path: str | Path) -> tuple[GrowthCurve, dict]:
     """Load a dataset file in either format, sniffing by header.
 
-    A format-A file is read by numpy's C text reader, and by
-    :func:`load_failure_times` when that reader turns it down, with the same
-    times and messages either way. Returns the curve plus a provenance dict
-    (path, format, n, sort flag) suitable for embedding in run reports. The
-    recorded path is the path's file-system bytes read as UTF-8, so it does
-    not depend on the locale.
+    A format-A file is read by numpy's C text reader, and by a checked
+    per-line pass when that reader turns it down; the times and messages are
+    those :func:`load_failure_times` gives for the file's lines. Returns the
+    curve plus a provenance dict (path, format, n, sort flag) suitable for
+    embedding in run reports. The recorded path is the path's file-system
+    bytes read as UTF-8, so it does not depend on the locale.
     """
     path = Path(path)
     try:
         # utf-8-sig drops the byte-order mark that "CSV UTF-8" exports begin with
         with path.open(encoding="utf-8-sig") as handle:
             # only the lines up to the first data line are read to sniff it
-            skip, first = 0, ""
-            for line in handle:
-                if (s := line.strip()) and s[0] != "#":
-                    first = s
-                    break
-                skip += 1
+            skip, first = _header(handle)
             handle.seek(0)
-            if first.lower().replace(" ", "").startswith("time,count"):
+            if first.strip().lower().replace(" ", "").startswith("time,count"):
                 curve, fmt, required_sorting = load_growth_curve_csv(handle), "curve", False
             else:
-                # numpy warns on a file with no data line; the per-line reader reports it
+                # numpy warns on a file with no data line; the checked pass reports it
                 times = _c_read_times(path, skip) if first else None
-                curve, required_sorting = load_failure_times(handle) if times is None else _times_curve(times)
+                curve, required_sorting = _times_curve(_checked_times(handle) if times is None else times)
                 fmt = "times"
     except (OSError, UnicodeDecodeError) as exc:
         # strerror, as str(exc) repeats the path as a repr, which escapes undecodable bytes

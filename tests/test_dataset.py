@@ -263,9 +263,10 @@ def test_read_curve_file_skips_utf8_byte_order_mark(tmp_path, text, fmt):
     assert curve.counts.tolist() == want.counts.tolist() == [1.0, 2.0, 3.0]
 
 
-def test_read_curve_file_csv_after_leading_comment_lines(tmp_path):
+@pytest.mark.parametrize("header", ["time,count", "\tTime, Count "])
+def test_read_curve_file_csv_after_leading_comment_lines(tmp_path, header):
     path = tmp_path / "export.csv"
-    path.write_text("# exported from tracker\n\n  # 2 rows\ntime,count\n1.0,3\n2.0,7\n")
+    path.write_text(f"# exported from tracker\n\n  # 2 rows\n{header}\n1.0,3\n2.0,7\n")
     curve, meta = read_curve_file(path)
     assert meta["format"] == "curve"
     assert curve.times.tolist() == [1.0, 2.0]
@@ -296,7 +297,21 @@ def test_read_curve_file_missing(tmp_path):
         read_curve_file(tmp_path / "nope.txt")
 
 
-@pytest.mark.parametrize("block_lines", [1, 2, 8192])
+@pytest.fixture(params=["handle", "lines", "file"])
+def load_text(request, tmp_path):
+    """Format-A text read from an open handle, from a list of lines, or from a file by ``read_curve_file``."""
+    def load(text):
+        if request.param == "handle":
+            return load_failure_times(io.StringIO(text))
+        if request.param == "lines":
+            return load_failure_times(text.splitlines(keepends=True))
+        path = tmp_path / "times.txt"
+        path.write_bytes(text.encode())
+        return _read_times_file(path)
+
+    return load
+
+
 @pytest.mark.parametrize(
     ("text", "message"),
     [
@@ -312,19 +327,18 @@ def test_read_curve_file_missing(tmp_path):
         ("1.0\n2.0\n-3.0\n", "line 3: negative failure time -3.0"),
     ],
 )
-def test_load_reports_first_bad_line_in_file_order(text, message, block_lines):
-    with mock.patch.object(dataset, "_BLOCK_LINES", block_lines), pytest.raises(DataError) as info:
-        load_failure_times(io.StringIO(text))
+def test_load_reports_first_bad_line_in_file_order(text, message, load_text):
+    with pytest.raises(DataError) as info:
+        load_text(text)
     assert str(info.value) == message
 
 
 @pytest.mark.parametrize("header_lines", [1, 3, 6])
-def test_load_header_then_valid_times_stays_on_the_block_path(monkeypatch, header_lines):
-    """A file shaped like ``simulate``'s output never takes the line-by-line path."""
+def test_load_header_then_valid_times_is_read_by_numpy_alone(monkeypatch, header_lines):
+    """Lines shaped like ``simulate``'s output never take the checked per-line pass."""
     calls = []
     checked = dataset._checked_times
     monkeypatch.setattr(dataset, "_checked_times", lambda *args: calls.append(args) or checked(*args))
-    monkeypatch.setattr(dataset, "_BLOCK_LINES", 4)
     times = [0.5 * i for i in range(1, 12)]
     text = "".join(f"# header {i}\n" for i in range(header_lines)) + "".join(f"{t}\n" for t in times)
     curve, required_sorting = load_failure_times(io.StringIO(text))
@@ -353,7 +367,7 @@ def test_csv_reports_first_bad_row_in_file_order(rows, message):
 
 
 def per_line_load(lines):
-    """The line-by-line format-A reader the vectorised one replaced."""
+    """The line-by-line format-A reader, kept as the oracle for numpy's C reader."""
     times: list[float] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -398,66 +412,46 @@ format_a_lines = st.lists(
 
 
 def _outcome(load, lines):
+    """The times' bytes, so -0.0 stays -0.0, and the sort flag, or the error message."""
     try:
-        return load(lines)
+        times, required_sorting = load(lines)
     except DataError as exc:
         return str(exc)
+    if isinstance(times, GrowthCurve):
+        assert np.array_equal(times.counts, np.arange(1.0, times.n + 1))
+        times = times.times
+    return times.tobytes(), required_sorting
 
 
-@given(format_a_lines, st.sampled_from([1, 2, 3, 8192]), st.sampled_from(["\n", "\r\n"]))
-def test_load_matches_per_line_reader(lines, block_lines, ending):
+@given(format_a_lines, st.sampled_from(["\n", "\r\n"]))
+def test_load_matches_per_line_reader(lines, ending):
     text = ending.join(lines)
-    expected = _outcome(per_line_load, io.StringIO(text))
-    with mock.patch.object(dataset, "_BLOCK_LINES", block_lines):
-        got = _outcome(load_failure_times, io.StringIO(text))
-    if isinstance(expected, str):
-        assert got == expected
-    else:
-        curve, required_sorting = got
-        assert isinstance(curve, GrowthCurve)
-        assert np.array_equal(curve.times, expected[0])
-        assert np.array_equal(curve.counts, np.arange(1.0, curve.n + 1))
-        assert required_sorting == expected[1]
+    assert _outcome(load_failure_times, io.StringIO(text)) == _outcome(per_line_load, io.StringIO(text))
 
 
-@pytest.mark.parametrize("block_lines", [2, 8192])
 @pytest.mark.parametrize("header", ["# one\n", "# one\n\n", "# one\n  \n\t# three\n"])
 @pytest.mark.parametrize(
     "body", ["1.5\n2.5\n0.5\n", "1.5\n# later\n2.5\n", "1.5\n\n2.5\n", "1.5\n-2\n", "1.5\nbogus\n", "nan\n"]
 )
-def test_load_after_leading_comment_lines(block_lines, header, body):
+def test_load_after_leading_comment_lines(header, body, load_text):
     text = header + body
-    expected = _outcome(per_line_load, io.StringIO(text))
-    with mock.patch.object(dataset, "_BLOCK_LINES", block_lines):
-        got = _outcome(load_failure_times, io.StringIO(text))
-    if isinstance(expected, str):
-        assert got == expected
-    else:
-        assert np.array_equal(got[0].times, expected[0])
-        assert got[1] == expected[1]
+    assert _outcome(load_text, text) == _outcome(per_line_load, io.StringIO(text))
 
 
-def _read_file_outcome(path):
-    """``read_curve_file``'s times and sort flag, or its error message."""
-    try:
-        curve, meta = read_curve_file(path)
-    except DataError as exc:
-        return str(exc)
+def _read_times_file(path):
+    """``read_curve_file``'s curve and sort flag for a format-A file."""
+    curve, meta = read_curve_file(path)
     assert meta["format"] == "times"
-    assert np.array_equal(curve.counts, np.arange(1.0, curve.n + 1))
-    return curve.times, meta["required_sorting"]
+    return curve, meta["required_sorting"]
 
 
 def _per_line_file_outcome(path):
-    """``load_failure_times`` on the same file, with a decode error worded as ``read_curve_file`` words it."""
+    """``per_line_load`` on the same file, with a decode error worded as ``read_curve_file`` words it."""
     try:
         with path.open(encoding="utf-8-sig") as handle:
-            curve, required_sorting = load_failure_times(handle)
+            return _outcome(per_line_load, handle)
     except UnicodeDecodeError as exc:
         return f"cannot read {path}: {exc}"
-    except DataError as exc:
-        return str(exc)
-    return curve.times, required_sorting
 
 
 #: Characters ``str.strip`` removes that pad a numeral or fill a blank line.
@@ -516,14 +510,20 @@ def format_a_files(draw):
 def test_read_curve_file_matches_per_line_reader(tmp_path, data):
     path = tmp_path / "times.txt"
     path.write_bytes(data)
-    expected, got = _per_line_file_outcome(path), _read_file_outcome(path)
-    if isinstance(expected, str):
-        assert got == expected
-    else:
-        assert not isinstance(got, str), got
-        # bitwise, so -0.0 stays -0.0
-        assert got[0].tobytes() == expected[0].tobytes()
-        assert got[1] == expected[1]
+    assert _outcome(_read_times_file, path) == _per_line_file_outcome(path)
+
+
+# a warning from numpy's reader would be a stray stderr line here too
+@pytest.mark.filterwarnings("error")
+@given(format_a_files().map(lambda data: data.decode("utf-8", "surrogateescape").splitlines(keepends=True)))
+@example(["1\r2\n"])
+@example(["1.5 2.5\n"])
+@example(["# h\n", "1.0\n", "# mid\n", "2.0\n"])
+def test_load_lines_matches_per_line_reader(lines):
+    """A list of lines, or a generator that yields them once, reads as the per-line reader reads it."""
+    expected = _outcome(per_line_load, lines)
+    assert _outcome(load_failure_times, lines) == expected
+    assert _outcome(load_failure_times, (line for line in lines)) == expected
 
 
 @pytest.mark.parametrize(
@@ -545,7 +545,7 @@ def test_read_curve_file_keeps_trailing_text_an_error(tmp_path, text, message):
 
 def test_read_curve_file_reads_plain_times_without_the_per_line_reader(tmp_path, monkeypatch):
     """A file shaped like ``simulate``'s output is read by numpy's C reader alone."""
-    monkeypatch.setattr(dataset, "load_failure_times", mock.Mock(side_effect=AssertionError))
+    monkeypatch.setattr(dataset, "_checked_times", mock.Mock(side_effect=AssertionError))
     path = tmp_path / "times.txt"
     path.write_bytes(b"\xef\xbb\xbf# simulated\r\n# a=3\r\n\r\n0.5\r\n\t1.25 \r\n1e-07\r\n")
     curve, meta = read_curve_file(path)
